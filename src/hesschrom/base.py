@@ -186,10 +186,6 @@ class TPoly:
         return f"TPoly({self.terms!r})"
 
 
-T_ZERO = TPoly()
-T_ONE = TPoly.const(1)
-
-
 @dataclass(frozen=True)
 class Composition:
     """A sequence of positive parts; the empty composition has degree 0.

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .base import (
-    Composition,
     DEFAULT_MAX_N,
     Partition,
     TPoly,

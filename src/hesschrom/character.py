@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .base import Partition, Permutation, TPoly, partitions, z_of
+from .base import DEFAULT_MAX_N, Partition, Permutation, check_bound, partitions, z_of
 from .betti import c_coeffs, omega_x_of, x_of
 from .hessenberg import HessenbergFunction, weight
-from .qsym import SymElement, contract_to_m, expand_in_basis, generator, to_m_basis
+from .qsym import SymElement, contract_to_m, expand_in_basis
 
 
 class IntegralityError(ArithmeticError):
@@ -49,9 +49,12 @@ class ClassFunction:
         return self(Partition((1,) * self.n))
 
 
-def dot_character(m: HessenbergFunction, d: int) -> ClassFunction:
+def dot_character(
+    m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
+) -> ClassFunction:
     """Character values on cycle types: chi(mu) = z_mu * [p_mu] f, where
     f is the t^d slice of omega X_{G(m)}(t)."""
+    check_bound(m.n, max_n, force)
     if not 0 <= d <= weight(m):
         raise ValueError(f"d={d} outside 0..{weight(m)}")
     f = omega_x_of(m).t_slice(d)
@@ -65,12 +68,9 @@ def dot_character(m: HessenbergFunction, d: int) -> ClassFunction:
 
 def frobenius_image(chi: ClassFunction) -> SymElement:
     """ch(chi) = sum_mu chi(mu)/z_mu p_mu, returned in the m basis."""
-    out = SymElement(chi.n, "m")
-    for mu, value in chi.values:
-        c = Fraction(value, z_of(mu))
-        if c:
-            out += to_m_basis(generator("p", mu)).scaled(c)
-    return out
+    return contract_to_m(
+        SymElement(chi.n, "p", {mu: Fraction(v, z_of(mu)) for mu, v in chi.values})
+    )
 
 
 def fixed_space_dims(m: HessenbergFunction, d: int):

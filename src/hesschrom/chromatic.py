@@ -66,9 +66,13 @@ def chromatic_qsym(
     """X_G(x,t) in the M basis."""
     if stat not in ("asc", "des"):
         raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
-    out = QSymElement(len(graph.vertices), "M")
+    acc = {}
     for blocks in stable_ordered_partitions(graph, max_n, force):
-        alpha = Composition(tuple(len(b) for b in blocks))
         d = _stat_of_partition(blocks, graph, stat)
-        out += QSymElement.monomial(alpha, "M", TPoly.t(d))
-    return out
+        slot = acc.setdefault(tuple(len(b) for b in blocks), {})
+        slot[d] = slot.get(d, 0) + 1
+    return QSymElement(
+        len(graph.vertices),
+        "M",
+        {Composition(parts): TPoly(slot) for parts, slot in acc.items()},
+    )

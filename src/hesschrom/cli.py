@@ -13,7 +13,6 @@ import sys
 
 from .base import (
     BoundExceededError,
-    Composition,
     DEFAULT_MAX_N,
     Partition,
     TPoly,
@@ -159,7 +158,7 @@ def _cmd_betti(args) -> int:
 
 def _cmd_character(args) -> int:
     m = _parse_hessenberg(args)
-    chi = dot_character(m, args.d)
+    chi = dot_character(m, args.d, max_n=args.max_n, force=args.force)
     if args.json:
         print(
             json.dumps(

@@ -92,12 +92,14 @@ def path_qsym(
     """Xi_D(x,t) in the M basis."""
     if stat not in ("asc", "des"):
         raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
-    out = QSymElement(len(d.vertices), "M")
+    acc = {}
     for cover in ordered_path_covers(d, max_n, force):
-        out += QSymElement.monomial(
-            cover.beta, "M", TPoly.t(sequencing_stat(cover.q, d, stat))
-        )
-    return out
+        slot = acc.setdefault(cover.beta, {})
+        e = sequencing_stat(cover.q, d, stat)
+        slot[e] = slot.get(e, 0) + 1
+    return QSymElement(
+        len(d.vertices), "M", {beta: TPoly(slot) for beta, slot in acc.items()}
+    )
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,23 @@ def _coerce_poly(c) -> TPoly:
     return c if isinstance(c, TPoly) else TPoly.const(c)
 
 
+# Producers sum many terms into one element. They accumulate plain
+# key -> {exponent: coefficient} dicts and build the element once at the
+# end: `out += ...` in a loop copies the whole term map on every step.
+
+
+def _add_scaled(acc: dict, key, poly: TPoly, scale=1) -> None:
+    """acc[key] += scale * poly, on the accumulator's exponent dicts."""
+    slot = acc.setdefault(key, {})
+    for e, c in poly.terms.items():
+        slot[e] = slot.get(e, 0) + scale * c
+
+
+def _freeze(cls, n: int, basis: str, acc: dict):
+    """The element holding an accumulator; cancelled coefficients drop out."""
+    return cls(n, basis, {key: TPoly(slot) for key, slot in acc.items()})
+
+
 class QSymElement:
     """Finite map from compositions of n to TPoly, tagged with basis M or F."""
 
@@ -224,22 +241,21 @@ def _supersets_of(alpha: Composition):
 def f_to_m(x: QSymElement) -> QSymElement:
     if x.basis != "F":
         raise ValueError("f_to_m expects the F basis")
-    out = QSymElement(x.n, "M")
+    acc = {}
     for alpha, c in x.terms.items():
         for beta in _supersets_of(alpha):
-            out += QSymElement.monomial(beta, "M", c)
-    return out
+            _add_scaled(acc, beta, c)
+    return _freeze(QSymElement, x.n, "M", acc)
 
 
 def m_to_f(x: QSymElement) -> QSymElement:
     if x.basis != "M":
         raise ValueError("m_to_f expects the M basis")
-    out = QSymElement(x.n, "F")
+    acc = {}
     for alpha, c in x.terms.items():
         for beta in _supersets_of(alpha):
-            sign = (-1) ** (beta.num_bars - alpha.num_bars)
-            out += QSymElement.monomial(beta, "F", c * sign)
-    return out
+            _add_scaled(acc, beta, c, (-1) ** (beta.num_bars - alpha.num_bars))
+    return _freeze(QSymElement, x.n, "F", acc)
 
 
 def _subsets_of(beta: Composition):
@@ -254,12 +270,12 @@ def omega(x: QSymElement) -> QSymElement:
     """The omega involution, on the M basis (F inputs are converted)."""
     if x.basis == "F":
         x = f_to_m(x)
-    out = QSymElement(x.n, "M")
+    acc = {}
     for beta, c in x.terms.items():
         sign = (-1) ** (x.n - beta.length)
         for alpha in _subsets_of(beta):
-            out += QSymElement.monomial(alpha, "M", c * sign)
-    return out
+            _add_scaled(acc, alpha, c, sign)
+    return _freeze(QSymElement, x.n, "M", acc)
 
 
 def _qshuffles(a: tuple, b: tuple):
@@ -283,13 +299,17 @@ def quasi_shuffle(x: QSymElement, y: QSymElement) -> QSymElement:
     """Product of monomial quasisymmetric functions (degrees add)."""
     if x.basis != "M" or y.basis != "M":
         raise ValueError("quasi_shuffle expects both factors in the M basis")
-    out = QSymElement(x.n + y.n, "M")
+    acc = {}
     for alpha, ca in x.terms.items():
         for beta, cb in y.terms.items():
             c = ca * cb
             for parts in _qshuffles(alpha.parts, beta.parts):
-                out += QSymElement.monomial(Composition(parts), "M", c)
-    return out
+                _add_scaled(acc, parts, c)
+    return QSymElement(
+        x.n + y.n,
+        "M",
+        {Composition(parts): TPoly(slot) for parts, slot in acc.items()},
+    )
 
 
 def is_symmetric(x: QSymElement) -> bool:
@@ -315,29 +335,17 @@ def to_m_basis(x: QSymElement) -> SymElement:
     witness = _symmetry_witness(x)
     if witness is not None:
         raise NotSymmetricError(*witness)
-    out = SymElement(x.n, "m")
+    terms = {}
     for alpha, c in x.terms.items():
-        if alpha.parts == alpha.sorted_partition().parts:
-            out += SymElement(x.n, "m", {alpha.sorted_partition(): c})
-    return out
+        lam = alpha.sorted_partition()
+        if alpha.parts == lam.parts:
+            terms[lam] = c
+    return SymElement(x.n, "m", terms)
 
 
 def m_partition_to_qsym(lam: Partition) -> QSymElement:
     """The monomial symmetric function m_lambda as a sum of M_alpha."""
-    out = QSymElement(lam.n, "M")
-    for alpha in rearrangements(lam):
-        out += QSymElement.monomial(alpha, "M", 1)
-    return out
-
-
-def sym_to_qsym(x: SymElement) -> QSymElement:
-    """An m-basis SymElement as a QSymElement in the M basis."""
-    if x.basis != "m":
-        raise ValueError("sym_to_qsym expects the m basis")
-    out = QSymElement(x.n, "M")
-    for lam, c in x.terms.items():
-        out += m_partition_to_qsym(lam).scaled(c)
-    return out
+    return QSymElement(lam.n, "M", dict.fromkeys(rearrangements(lam), 1))
 
 
 @lru_cache(maxsize=None)
@@ -381,10 +389,7 @@ def _one_part_generator(kind: str, k: int) -> QSymElement:
     if kind == "e":
         return QSymElement.monomial(Composition((1,) * k), "M")
     if kind == "h":
-        out = QSymElement(k, "M")
-        for alpha in compositions(k):
-            out += QSymElement.monomial(alpha, "M", 1)
-        return out
+        return QSymElement(k, "M", dict.fromkeys(compositions(k), 1))
     raise ValueError(f"no one-part generator of kind {kind!r}")
 
 
@@ -396,12 +401,12 @@ def generator(kind: str, lam: Partition) -> QSymElement:
     is the Kostka expansion over semistandard tableaux.
     """
     if kind == "s":
-        out = QSymElement(lam.n, "M")
+        terms = {}
         for mu in partitions(lam.n):
             k = kostka(lam, mu)
             if k:
-                out += m_partition_to_qsym(mu).scaled(k)
-        return out
+                terms.update(dict.fromkeys(m_partition_to_qsym(mu).terms, k))
+        return QSymElement(lam.n, "M", terms)
     if kind not in ("e", "h", "p"):
         raise ValueError(f"unknown generator kind: {kind!r}")
     out = QSymElement(0, "M", {Composition(()): TPoly.const(1)})
@@ -463,7 +468,8 @@ def contract_to_m(x: SymElement) -> SymElement:
     """Inverse of expand_in_basis: rewrite any basis back into m."""
     if x.basis == "m":
         return x
-    out = SymElement(x.n, "m")
+    acc = {}
     for lam, c in x.terms.items():
-        out += to_m_basis(generator(x.basis, lam)).scaled(c)
-    return out
+        for mu, v in to_m_basis(generator(x.basis, lam)).terms.items():
+            _add_scaled(acc, mu, v * c)
+    return _freeze(SymElement, x.n, "m", acc)

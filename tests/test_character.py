@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hesschrom.base import Partition, partitions
+from hesschrom.base import BoundExceededError, Partition, partitions
 from hesschrom.betti import betti_vector, omega_x_of
 from hesschrom.character import (
     count_standard_tableaux,
@@ -34,6 +34,12 @@ class TestDotCharacter:
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
             dot_character(new_hessenberg(2, (2,)), 2)
+
+    def test_size_guard(self):
+        m = new_hessenberg(4, (2, 3, 4))
+        with pytest.raises(BoundExceededError):
+            dot_character(m, 0, max_n=3)
+        assert dot_character(m, 0, max_n=3, force=True).n == 4
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_integrality_and_frobenius(self, n):

@@ -89,6 +89,14 @@ class TestCharacter:
         assert code == 0
         assert out.strip().splitlines() == ["chi[2] = 1", "chi[1,1] = 1"]
 
+    def test_guard_exit_2(self, capsys):
+        argv = ["character", "--m", "2,3,4", "--max-n", "3", "--d", "0"]
+        code, _, err = capture(capsys, argv)
+        assert code == 2
+        assert "guard" in err
+        code, out, _ = capture(capsys, argv + ["--force"])
+        assert code == 0 and out.startswith("chi[4] = ")
+
 
 class TestEnumerate:
     def test_text(self, capsys):
@@ -122,6 +130,11 @@ class TestVerify:
         )
         assert code == 0
         assert out.startswith("PASS")
+
+    def test_suite_that_checks_nothing_fails(self, capsys):
+        code, out, _ = capture(capsys, ["verify", "--suite", "omega", "--max-n", "0"])
+        assert code == 1
+        assert out.startswith("FAIL") and "checked=0" in out
 
 
 class TestUsageErrors:
