@@ -1,4 +1,5 @@
-"""CLI ``--json`` output pinned byte for byte on golden inputs at n = 5.
+"""CLI output, ``--json`` and text, pinned byte for byte on golden inputs
+at n = 5.
 
 ``golden/cli_n5.json`` maps each argument line to the exact stdout the CLI
 printed for it when the fixture was recorded. Any change to a coefficient,
@@ -40,16 +41,27 @@ def golden_argvs():
 
 
 ARGVS = golden_argvs()
+# the expansion printers also run without --json
+TEXT_ARGVS = [argv[:-1] for argv in ARGVS if argv[0] != "character"]
 EXPECTED = json.loads(GOLDEN.read_text())
 
 
 def test_fixture_covers_every_case():
-    assert list(EXPECTED) == [" ".join(argv) for argv in ARGVS]
+    assert list(EXPECTED) == [" ".join(argv) for argv in ARGVS + TEXT_ARGVS]
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv[:-1]))
-def test_output_is_byte_identical(capsys, argv):
+def _assert_golden(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     assert code == 0
     assert out == EXPECTED[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv[:-1]))
+def test_output_is_byte_identical(capsys, argv):
+    _assert_golden(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", TEXT_ARGVS, ids=" ".join)
+def test_text_output_is_byte_identical(capsys, argv):
+    _assert_golden(capsys, argv)
