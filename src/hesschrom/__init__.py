@@ -20,21 +20,21 @@ from .betti import (
     Tableau,
     admissible_tableaux,
     betti_vector,
-    c_coeffs,
     cell_dimension,
     check_palindromic,
-    sw_to_t_bijection,
     unified_dimension,
-    verify_sw_betti,
 )
 from .character import (
     ClassFunction,
+    c_coeffs,
     dot_character,
     e_positivity_report,
     fixed_space_dims,
     frobenius_image,
     irreducible_multiplicities,
+    omega_x_of,
     schur_positivity_report,
+    x_of,
 )
 from .chromatic import chromatic_qsym, stable_ordered_partitions
 from .hessenberg import (
@@ -51,10 +51,14 @@ from .hessenberg import (
     weight,
 )
 from .pathqsym import (
+    InvalidCoverError,
     OrderedPathCover,
     c_via_path_covers,
     ordered_path_covers,
     path_qsym,
+    sw_inversions_of_cover,
+    sw_to_t_bijection,
+    t_inversions_of_cover,
     verify_reciprocity,
 )
 from .qsym import (
@@ -71,6 +75,7 @@ from .qsym import (
     quasi_shuffle,
     to_m_basis,
 )
+from .verify import EqualityReport, verify_sw_betti
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

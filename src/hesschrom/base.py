@@ -158,12 +158,6 @@ class TPoly:
     def evaluate(self, x):
         return sum(c * x**e for e, c in self.terms.items())
 
-    def is_integral(self) -> bool:
-        return all(
-            not isinstance(c, Fraction) or c.denominator == 1
-            for c in self.terms.values()
-        )
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .base import DEFAULT_MAX_N, Partition, Permutation, check_bound, partitions, z_of
-from .betti import c_coeffs, omega_x_of, x_of
-from .hessenberg import HessenbergFunction, weight
-from .qsym import SymElement, contract_to_m, expand_in_basis
+from .chromatic import chromatic_qsym
+from .hessenberg import HessenbergFunction, incomparability_graph, weight
+from .qsym import QSymElement, contract_to_m, expand_in_basis, omega, to_m_basis
 
 
 class IntegralityError(ArithmeticError):
@@ -49,6 +49,29 @@ class ClassFunction:
         return self(Partition((1,) * self.n))
 
 
+@lru_cache(maxsize=None)
+def x_of(m: HessenbergFunction) -> QSymElement:
+    """X_{G(m)}(t) in the monomial symmetric basis."""
+    return to_m_basis(chromatic_qsym(incomparability_graph(m), "asc", force=True))
+
+
+@lru_cache(maxsize=None)
+def omega_x_of(m: HessenbergFunction) -> QSymElement:
+    """omega X_{G(m)}(t) in the monomial symmetric basis."""
+    x = chromatic_qsym(incomparability_graph(m), "asc", force=True)
+    return to_m_basis(omega(x))
+
+
+def c_coeffs(m: HessenbergFunction):
+    """(d, lambda) -> coefficient of t^d m_lambda in omega X_{G(m)}(t)."""
+    wx = omega_x_of(m)
+    out = {}
+    for lam, poly in wx.terms.items():
+        for d, c in poly.terms.items():
+            out[(d, lam)] = c
+    return out
+
+
 def dot_character(
     m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
 ) -> ClassFunction:
@@ -66,10 +89,10 @@ def dot_character(
     return ClassFunction(m.n, tuple(values))
 
 
-def frobenius_image(chi: ClassFunction) -> SymElement:
+def frobenius_image(chi: ClassFunction) -> QSymElement:
     """ch(chi) = sum_mu chi(mu)/z_mu p_mu, returned in the m basis."""
     return contract_to_m(
-        SymElement(chi.n, "p", {mu: Fraction(v, z_of(mu)) for mu, v in chi.values})
+        QSymElement(chi.n, "p", {mu: Fraction(v, z_of(mu)) for mu, v in chi.values})
     )
 
 
@@ -129,7 +152,7 @@ def e_positivity_report(m: HessenbergFunction) -> PositivityReport:
     in_e = expand_in_basis(x_of(m), "e")
     checked = 0
     bad = []
-    for lam, poly in sorted(in_e.terms.items(), key=lambda kv: kv[0].parts, reverse=True):
+    for lam, poly in in_e.sorted_terms():
         for d in poly.exponents():
             c = _as_int(poly.coeff(d), f"e-coefficient at {lam}, t^{d}")
             checked += 1

@@ -27,7 +27,7 @@ from .hessenberg import (
     incomparability_graph,
 )
 from .pathqsym import path_qsym
-from .qsym import QSymElement, SymElement, expand_in_basis, omega, to_m_basis
+from .qsym import SYM_BASES, QSymElement, expand_in_basis, omega, to_m_basis
 from .verify import SUITES
 
 
@@ -35,42 +35,23 @@ def poly_json(p: TPoly):
     return [[e, str(p.terms[e])] for e in p.exponents()]
 
 
-def sym_json(x: SymElement):
-    terms = sorted(x.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
+def expansion_json(x: QSymElement):
+    key = "partition" if x.basis in SYM_BASES else "composition"
     return {
         "degree": x.n,
         "basis": x.basis,
         "terms": [
-            {"partition": list(lam.parts), "poly": poly_json(c)} for lam, c in terms
+            {key: list(k.parts), "poly": poly_json(c)} for k, c in x.sorted_terms()
         ],
     }
 
 
-def qsym_json(x: QSymElement):
-    terms = sorted(x.terms.items(), key=lambda kv: kv[0].parts)
-    return {
-        "degree": x.n,
-        "basis": x.basis,
-        "terms": [
-            {"composition": list(a.parts), "poly": poly_json(c)} for a, c in terms
-        ],
-    }
-
-
-def _print_sym(x: SymElement, as_json: bool):
+def _print_expansion(x: QSymElement, as_json: bool):
     if as_json:
-        print(json.dumps(sym_json(x)))
+        print(json.dumps(expansion_json(x)))
         return
-    for lam, c in sorted(x.terms.items(), key=lambda kv: kv[0].parts, reverse=True):
-        print(f"{x.basis}{lam}  {c}")
-
-
-def _print_qsym(x: QSymElement, as_json: bool):
-    if as_json:
-        print(json.dumps(qsym_json(x)))
-        return
-    for a, c in sorted(x.terms.items(), key=lambda kv: kv[0].parts):
-        print(f"{x.basis}{a}  {c}")
+    for k, c in x.sorted_terms():
+        print(f"{x.basis}{k}  {c}")
 
 
 def _parse_ints(text: str):
@@ -79,7 +60,7 @@ def _parse_ints(text: str):
 
 def _parse_hessenberg(args) -> HessenbergFunction:
     m = _parse_ints(args.m)
-    n = getattr(args, "n", None) or len(m) + 1
+    n = len(m) + 1 if args.n is None else args.n
     return HessenbergFunction(n, m)
 
 
@@ -98,40 +79,25 @@ def _parse_digraph(args) -> Digraph:
 
 
 def _cmd_xg(args) -> int:
+    """X_{G(m)}(t) for ``xg``, omega X_{G(m)}(t) for ``omega-xg``."""
     m = _parse_hessenberg(args)
     x = chromatic_qsym(
         incomparability_graph(m), args.stat, max_n=args.max_n, force=args.force
     )
-    if args.basis == "M":
-        _print_qsym(x, args.json)
-    else:
-        sym = to_m_basis(x)
+    if args.command == "omega-xg":
+        x = omega(x)
+    if args.basis != "M":
+        x = to_m_basis(x)
         if args.basis != "m":
-            sym = expand_in_basis(sym, args.basis)
-        _print_sym(sym, args.json)
-    return 0
-
-
-def _cmd_omega_xg(args) -> int:
-    m = _parse_hessenberg(args)
-    x = chromatic_qsym(
-        incomparability_graph(m), args.stat, max_n=args.max_n, force=args.force
-    )
-    wx = omega(x)
-    if args.basis == "M":
-        _print_qsym(wx, args.json)
-    else:
-        sym = to_m_basis(wx)
-        if args.basis != "m":
-            sym = expand_in_basis(sym, args.basis)
-        _print_sym(sym, args.json)
+            x = expand_in_basis(x, args.basis)
+    _print_expansion(x, args.json)
     return 0
 
 
 def _cmd_xi(args) -> int:
     d = _parse_digraph(args)
     xi = path_qsym(d, args.stat, max_n=args.max_n, force=args.force)
-    _print_qsym(xi, args.json)
+    _print_expansion(xi, args.json)
     return 0
 
 
@@ -214,18 +180,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _common_parser(max_n_default=DEFAULT_MAX_N) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--max-n", type=int, default=max_n_default, help="enumeration guard")
-    common.add_argument("--force", action="store_true", help="override the guard")
-    common.add_argument("--stat", choices=("asc", "des"), default="asc")
-    common.add_argument("--seed", type=int, default=0, help="seed for random suites")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
+    # each subcommand gets only the flags it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="machine-readable output")
+    guarded = argparse.ArgumentParser(add_help=False, parents=[output])
+    guarded.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="enumeration guard")
+    guarded.add_argument("--force", action="store_true", help="override the guard")
+    with_stat = argparse.ArgumentParser(add_help=False, parents=[guarded])
+    with_stat.add_argument("--stat", choices=("asc", "des"), default="asc")
 
     parser = argparse.ArgumentParser(
         prog="hesschrom",
@@ -234,45 +197,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("xg", parents=[common], help="chromatic quasisymmetric function of G(m)")
+    p = sub.add_parser("xg", parents=[with_stat], help="chromatic quasisymmetric function of G(m)")
     p.add_argument("--n", type=int)
     p.add_argument("--m", required=True, help="comma-separated m_1,...,m_{n-1}")
     p.add_argument("--basis", choices=("m", "M", "e", "h", "p", "s"), default="m")
     p.set_defaults(fn=_cmd_xg)
 
-    p = sub.add_parser("omega-xg", parents=[common], help="omega X_{G(m)}(t)")
+    p = sub.add_parser("omega-xg", parents=[with_stat], help="omega X_{G(m)}(t)")
     p.add_argument("--n", type=int)
     p.add_argument("--m", required=True)
     p.add_argument("--basis", choices=("m", "M", "e", "h", "p", "s"), default="m")
-    p.set_defaults(fn=_cmd_omega_xg)
+    p.set_defaults(fn=_cmd_xg)
 
-    p = sub.add_parser("xi", parents=[common], help="path quasisymmetric function of a digraph")
+    p = sub.add_parser("xi", parents=[with_stat], help="path quasisymmetric function of a digraph")
     p.add_argument("--edges", default="", help="directed edges like 1>2,2>1")
     p.add_argument("--vertices", default="", help="extra isolated vertices, like 1,2,3")
     p.set_defaults(fn=_cmd_xi)
 
-    p = sub.add_parser("betti", parents=[common], help="Betti numbers of a regular Hessenberg variety")
+    p = sub.add_parser("betti", parents=[guarded], help="Betti numbers of a regular Hessenberg variety")
     p.add_argument("--n", type=int)
     p.add_argument("--m", required=True)
     p.add_argument("--lambda", dest="lam", required=True, help="Jordan type, like 2,1")
     p.set_defaults(fn=_cmd_betti)
 
-    p = sub.add_parser("character", parents=[common], help="dot-action character values")
+    p = sub.add_parser("character", parents=[guarded], help="dot-action character values")
     p.add_argument("--n", type=int)
     p.add_argument("--m", required=True)
     p.add_argument("--d", type=int, required=True, help="cohomological degree d (of H^{2d})")
     p.set_defaults(fn=_cmd_character)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list Hessenberg functions")
+    p = sub.add_parser("enumerate", parents=[guarded], help="list Hessenberg functions")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_enumerate)
 
-    # verify takes suite-specific defaults when --max-n is not given
-    p = sub.add_parser(
-        "verify", parents=[_common_parser(max_n_default=None)],
-        help="run a verification suite",
-    )
+    p = sub.add_parser("verify", parents=[output], help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    # suites take their own default sizes when --max-n is not given
+    p.add_argument("--max-n", type=int, default=None, help="suite size")
+    p.add_argument("--seed", type=int, default=0, help="seed for random suites")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -12,8 +12,10 @@ suite.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .base import (
     Composition,
@@ -52,45 +54,56 @@ def _add_scaled(acc: dict, key, poly: TPoly, scale=1) -> None:
         slot[e] = slot.get(e, 0) + scale * c
 
 
-def _freeze(cls, n: int, basis: str, acc: dict):
+def _freeze(n: int, basis: str, acc: dict):
     """The element holding an accumulator; cancelled coefficients drop out."""
-    return cls(n, basis, {key: TPoly(slot) for key, slot in acc.items()})
+    return QSymElement(n, basis, {key: TPoly(slot) for key, slot in acc.items()})
+
+
+QSYM_BASES = ("M", "F")
+SYM_BASES = ("m", "e", "h", "p", "s")
 
 
 class QSymElement:
-    """Finite map from compositions of n to TPoly, tagged with basis M or F."""
+    """Immutable finite map from keys of degree n to TPoly, tagged with a
+    basis: compositions for the quasisymmetric bases M and F, partitions
+    for the symmetric bases m, e, h, p and s (a symmetric function is a
+    quasisymmetric one read in another basis).
+
+    Elements are shared through lru caches, so ``terms`` is a read-only
+    mapping and no attribute can be assigned after construction.
+    """
 
     __slots__ = ("n", "basis", "terms")
 
     def __init__(self, n: int, basis: str, terms=None):
-        if basis not in ("M", "F"):
-            raise ValueError(f"basis must be 'M' or 'F': {basis!r}")
-        self.n = n
-        self.basis = basis
+        if basis not in QSYM_BASES + SYM_BASES:
+            raise ValueError(f"unknown basis: {basis!r}")
         clean = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for alpha, c in items:
-                if alpha.n != n:
-                    raise DegreeMismatchError(f"{alpha} is not a composition of {n}")
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            for key, c in items:
+                if key.n != n:
+                    kind = "composition" if basis in QSYM_BASES else "partition"
+                    raise DegreeMismatchError(f"{key} is not a {kind} of {n}")
                 c = _coerce_poly(c)
-                s = clean.get(alpha, TPoly()) + c
+                s = clean.get(key, TPoly()) + c
                 if s:
-                    clean[alpha] = s
+                    clean[key] = s
                 else:
-                    clean.pop(alpha, None)
-        self.terms = clean
+                    clean.pop(key, None)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QSymElement is immutable; cannot set {name!r}")
 
     @classmethod
-    def monomial(cls, alpha: Composition, basis: str = "M", coeff=1):
-        return cls(alpha.n, basis, {alpha: _coerce_poly(coeff)})
+    def monomial(cls, key, basis: str = "M", coeff=1):
+        return cls(key.n, basis, {key: _coerce_poly(coeff)})
 
-    @classmethod
-    def zero(cls, n: int, basis: str = "M"):
-        return cls(n, basis)
-
-    def coeff(self, alpha: Composition) -> TPoly:
-        return self.terms.get(alpha, TPoly())
+    def coeff(self, key) -> TPoly:
+        return self.terms.get(key, TPoly())
 
     def __bool__(self):
         return bool(self.terms)
@@ -112,121 +125,40 @@ class QSymElement:
             return NotImplemented
         if self.n != other.n or self.basis != other.basis:
             raise DegreeMismatchError("can only add equal degree and basis")
-        out = QSymElement(self.n, self.basis, self.terms)
-        for alpha, c in other.terms.items():
-            s = out.terms.get(alpha, TPoly()) + c
-            if s:
-                out.terms[alpha] = s
-            else:
-                out.terms.pop(alpha, None)
-        return out
+        return QSymElement(
+            self.n, self.basis, itertools.chain(self.terms.items(), other.terms.items())
+        )
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "QSymElement":
         c = _coerce_poly(c)
-        out = QSymElement(self.n, self.basis)
-        if c:
-            out.terms = {a: v * c for a, v in self.terms.items()}
-        return out
+        return QSymElement(self.n, self.basis, {k: v * c for k, v in self.terms.items()})
 
-    def __repr__(self):
-        body = " + ".join(
-            f"({c}) {self.basis}{a}" for a, c in sorted(self.terms.items(), key=lambda kv: kv[0].parts)
-        )
-        return body or "0"
-
-
-class SymElement:
-    """Finite map from partitions of n to TPoly, in basis m, e, h, p or s."""
-
-    __slots__ = ("n", "basis", "terms")
-
-    def __init__(self, n: int, basis: str, terms=None):
-        if basis not in ("m", "e", "h", "p", "s"):
-            raise ValueError(f"unknown symmetric basis: {basis!r}")
-        self.n = n
-        self.basis = basis
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for lam, c in items:
-                if lam.n != n:
-                    raise DegreeMismatchError(f"{lam} is not a partition of {n}")
-                c = _coerce_poly(c)
-                s = clean.get(lam, TPoly()) + c
-                if s:
-                    clean[lam] = s
-                else:
-                    clean.pop(lam, None)
-        self.terms = clean
-
-    def coeff(self, lam: Partition) -> TPoly:
-        return self.terms.get(lam, TPoly())
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymElement):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.basis, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, SymElement):
-            return NotImplemented
-        if self.n != other.n or self.basis != other.basis:
-            raise DegreeMismatchError("can only add equal degree and basis")
-        out = SymElement(self.n, self.basis, self.terms)
-        for lam, c in other.terms.items():
-            s = out.terms.get(lam, TPoly()) + c
-            if s:
-                out.terms[lam] = s
-            else:
-                out.terms.pop(lam, None)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "SymElement":
-        c = _coerce_poly(c)
-        out = SymElement(self.n, self.basis)
-        if c:
-            out.terms = {a: v * c for a, v in self.terms.items()}
-        return out
-
-    def t_slice(self, d: int) -> "SymElement":
+    def t_slice(self, d: int) -> "QSymElement":
         """Constant-coefficient element holding the t^d coefficients."""
-        return SymElement(
+        return QSymElement(
             self.n,
             self.basis,
-            {lam: TPoly.const(c.coeff(d)) for lam, c in self.terms.items()},
+            {k: TPoly.const(c.coeff(d)) for k, c in self.terms.items()},
         )
 
-    def t_exponents(self):
-        out = set()
-        for c in self.terms.values():
-            out.update(c.terms)
-        return sorted(out)
-
-    def is_integral(self) -> bool:
-        return all(c.is_integral() for c in self.terms.values())
+    def sorted_terms(self):
+        """(key, coefficient) pairs, partitions in descending order and
+        compositions in ascending order."""
+        return sorted(
+            self.terms.items(),
+            key=lambda kv: kv[0].parts,
+            reverse=self.basis in SYM_BASES,
+        )
 
     def __repr__(self):
-        body = " + ".join(
-            f"({c}) {self.basis}{lam}"
-            for lam, c in sorted(self.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
-        )
+        body = " + ".join(f"({c}) {self.basis}{k}" for k, c in self.sorted_terms())
         return body or "0"
+
+
+SymElement = QSymElement
 
 
 def _supersets_of(alpha: Composition):
@@ -245,7 +177,7 @@ def f_to_m(x: QSymElement) -> QSymElement:
     for alpha, c in x.terms.items():
         for beta in _supersets_of(alpha):
             _add_scaled(acc, beta, c)
-    return _freeze(QSymElement, x.n, "M", acc)
+    return _freeze(x.n, "M", acc)
 
 
 def m_to_f(x: QSymElement) -> QSymElement:
@@ -255,7 +187,7 @@ def m_to_f(x: QSymElement) -> QSymElement:
     for alpha, c in x.terms.items():
         for beta in _supersets_of(alpha):
             _add_scaled(acc, beta, c, (-1) ** (beta.num_bars - alpha.num_bars))
-    return _freeze(QSymElement, x.n, "F", acc)
+    return _freeze(x.n, "F", acc)
 
 
 def _subsets_of(beta: Composition):
@@ -275,7 +207,7 @@ def omega(x: QSymElement) -> QSymElement:
         sign = (-1) ** (x.n - beta.length)
         for alpha in _subsets_of(beta):
             _add_scaled(acc, alpha, c, sign)
-    return _freeze(QSymElement, x.n, "M", acc)
+    return _freeze(x.n, "M", acc)
 
 
 def _qshuffles(a: tuple, b: tuple):
@@ -328,7 +260,7 @@ def _symmetry_witness(x: QSymElement):
     return None
 
 
-def to_m_basis(x: QSymElement) -> SymElement:
+def to_m_basis(x: QSymElement) -> QSymElement:
     """Read a symmetric QSymElement off as a monomial-basis SymElement."""
     if x.basis != "M":
         raise ValueError("to_m_basis expects the M basis")
@@ -340,7 +272,7 @@ def to_m_basis(x: QSymElement) -> SymElement:
         lam = alpha.sorted_partition()
         if alpha.parts == lam.parts:
             terms[lam] = c
-    return SymElement(x.n, "m", terms)
+    return QSymElement(x.n, "m", terms)
 
 
 def m_partition_to_qsym(lam: Partition) -> QSymElement:
@@ -452,7 +384,7 @@ def _solve_exact(matrix, rhs):
     return b
 
 
-def expand_in_basis(x: SymElement, target: str) -> SymElement:
+def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
     """Rewrite an m-basis element exactly in the e, h, p or s basis."""
     if x.basis != "m":
         raise ValueError("expand_in_basis expects an m-basis input")
@@ -461,10 +393,10 @@ def expand_in_basis(x: SymElement, target: str) -> SymElement:
     parts, matrix = _transition_matrix(x.n, target)
     rhs = [x.coeff(lam) for lam in parts]
     sol = _solve_exact(matrix, rhs)
-    return SymElement(x.n, target, dict(zip(parts, sol)))
+    return QSymElement(x.n, target, dict(zip(parts, sol)))
 
 
-def contract_to_m(x: SymElement) -> SymElement:
+def contract_to_m(x: QSymElement) -> QSymElement:
     """Inverse of expand_in_basis: rewrite any basis back into m."""
     if x.basis == "m":
         return x
@@ -472,4 +404,4 @@ def contract_to_m(x: SymElement) -> SymElement:
     for lam, c in x.terms.items():
         for mu, v in to_m_basis(generator(x.basis, lam)).terms.items():
             _add_scaled(acc, mu, v * c)
-    return _freeze(SymElement, x.n, "m", acc)
+    return _freeze(x.n, "m", acc)

@@ -12,35 +12,39 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .base import Partition, compositions, partitions
+from .base import DEFAULT_MAX_N, Partition, compositions, partitions
 from .betti import (
     admissible_tableaux,
     betti_vector,
     cell_dimension,
-    sw_inversions_of_cover,
-    sw_to_t_bijection,
-    t_inversions_of_cover,
     unified_dimension,
-    verify_sw_betti,
-    x_of,
 )
 from .character import (
+    c_coeffs,
     dot_character,
     e_positivity_report,
     frobenius_image,
     omega_x_of,
     schur_positivity_report,
+    x_of,
 )
 from .chromatic import chromatic_qsym
 from .hessenberg import (
     Digraph,
+    HessenbergFunction,
     complement,
     digraph,
     enumerate_hessenberg,
     incomparability_graph,
     weight,
 )
-from .pathqsym import ordered_path_covers, verify_reciprocity
+from .pathqsym import (
+    ordered_path_covers,
+    sw_inversions_of_cover,
+    sw_to_t_bijection,
+    t_inversions_of_cover,
+    verify_reciprocity,
+)
 from .qsym import (
     QSymElement,
     f_to_m,
@@ -48,6 +52,34 @@ from .qsym import (
     is_symmetric,
     omega,
 )
+
+
+@dataclass(frozen=True)
+class EqualityReport:
+    ok: bool
+    checked: int
+    first_discrepancy: tuple  # (lambda, d, betti_count, c_count) or None
+
+
+def verify_sw_betti(
+    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
+) -> EqualityReport:
+    """Check betti_vector(m, lam)(2d) == c_{d, lam}(m) for every lam, d:
+    the tableau pipeline against the qsym pipeline."""
+    cc = c_coeffs(m)
+    checked = 0
+    for lam in partitions(m.n):
+        bv = betti_vector(m, lam, max_n, force).as_dict()
+        degrees = set(d for (d, lm) in cc if lm == lam) | {
+            deg // 2 for deg in bv
+        }
+        for d in sorted(degrees):
+            checked += 1
+            lhs = bv.get(2 * d, 0)
+            rhs = cc.get((d, lam), 0)
+            if lhs != rhs:
+                return EqualityReport(False, checked, (lam, d, lhs, rhs))
+    return EqualityReport(True, checked, None)
 
 
 @dataclass

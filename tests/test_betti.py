@@ -5,19 +5,14 @@ import pytest
 from hesschrom.base import Composition, Partition, partitions
 from hesschrom.betti import (
     BettiVector,
-    InvalidCoverError,
     Tableau,
     admissible_tableaux,
     betti_vector,
-    c_coeffs,
     cell_dimension,
     check_palindromic,
-    sw_inversions_of_cover,
-    sw_to_t_bijection,
-    t_inversions_of_cover,
     unified_dimension,
-    verify_sw_betti,
 )
+from hesschrom.character import c_coeffs
 from hesschrom.hessenberg import (
     complement,
     digraph,
@@ -27,10 +22,15 @@ from hesschrom.hessenberg import (
     weight,
 )
 from hesschrom.pathqsym import (
+    InvalidCoverError,
     OrderedPathCover,
     c_via_path_covers,
     ordered_path_covers,
+    sw_inversions_of_cover,
+    sw_to_t_bijection,
+    t_inversions_of_cover,
 )
+from hesschrom.verify import verify_sw_betti
 
 
 def tab(shape, *rows):

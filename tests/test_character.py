@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hesschrom.base import BoundExceededError, Partition, partitions
-from hesschrom.betti import betti_vector, omega_x_of
+from hesschrom.betti import betti_vector
 from hesschrom.character import (
     count_standard_tableaux,
     dot_character,
@@ -11,6 +11,7 @@ from hesschrom.character import (
     fixed_space_dims,
     frobenius_image,
     irreducible_multiplicities,
+    omega_x_of,
     schur_positivity_report,
 )
 from hesschrom.hessenberg import enumerate_hessenberg, new_hessenberg, staircase, weight

@@ -43,6 +43,11 @@ class TestXg:
         _, out, _ = capture(capsys, ["xg", "--m", "2,3", "--json"])
         assert json.dumps(json.loads(out)) == out.strip()
 
+    def test_n_zero_exits_2(self, capsys):
+        code, out, err = capture(capsys, ["xg", "--m", "2,3", "--n", "0"])
+        assert code == 2
+        assert out == "" and "error" in err
+
 
 class TestOmegaXg:
     def test_matches_identity_shape(self, capsys):
@@ -81,6 +86,12 @@ class TestBetti:
         code, _, err = capture(capsys, ["betti", "--m", "3,2", "--lambda", "2,1"])
         assert code == 2
         assert "error" in err
+
+    def test_stat_flag_is_not_accepted(self, capsys):
+        argv = ["betti", "--m", "2,3", "--lambda", "2,1", "--stat", "des"]
+        code, _, err = capture(capsys, argv)
+        assert code == 2
+        assert "--stat" in err
 
 
 class TestCharacter:
@@ -135,6 +146,11 @@ class TestVerify:
         code, out, _ = capture(capsys, ["verify", "--suite", "omega", "--max-n", "0"])
         assert code == 1
         assert out.startswith("FAIL") and "checked=0" in out
+
+    def test_force_flag_is_not_accepted(self, capsys):
+        code, _, err = capture(capsys, ["verify", "--suite", "omega", "--force"])
+        assert code == 2
+        assert "--force" in err
 
 
 class TestUsageErrors:
