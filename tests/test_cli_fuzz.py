@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 from hesschrom.cli import run
 
 # integers as the user types them: in range, out of range, malformed
-INT = st.one_of(
-    st.integers(-2, 6).map(str),
-    st.sampled_from(["", "x", "1.5", "+", "-", "0x3", " 2", "1e2"]),
-)
+MALFORMED = st.sampled_from(["", "x", "1.5", "+", "-", "0x3", " 2", "1e2"])
+INT = st.one_of(st.integers(-2, 5).map(str), MALFORMED)
 INT_LIST = st.lists(INT, max_size=4).map(",".join)
+# digraph vertices come from five labels, so a digraph has at most 5
+LABEL = st.integers(-1, 3)
+LABELS = st.lists(st.one_of(LABEL.map(str), MALFORMED), max_size=4).map(",".join)
 EDGE = st.one_of(
-    st.tuples(st.integers(-1, 3), st.integers(-1, 3)).map(lambda e: f"{e[0]}>{e[1]}"),
+    st.tuples(LABEL, LABEL).map(lambda e: f"{e[0]}>{e[1]}"),
     st.sampled_from(["", "1>", ">2", "1-2", "a>b", "1>2>3", ">"]),
 )
 EDGES = st.lists(EDGE, max_size=6).map(",".join)
@@ -43,7 +44,7 @@ BASIS = maybe("--basis", st.sampled_from(["m", "M", "e", "h", "p", "s", "F", ""]
 GRAMMAR = {
     "xg": [often("--m", INT_LIST), maybe("--n", INT), BASIS, STAT, GUARD],
     "omega-xg": [often("--m", INT_LIST), maybe("--n", INT), BASIS, STAT, GUARD],
-    "xi": [maybe("--edges", EDGES), maybe("--vertices", INT_LIST), STAT, GUARD],
+    "xi": [maybe("--edges", EDGES), maybe("--vertices", LABELS), STAT, GUARD],
     "betti": [often("--m", INT_LIST), maybe("--n", INT), often("--lambda", INT_LIST), GUARD],
     "character": [often("--m", INT_LIST), maybe("--n", INT), often("--d", INT), GUARD],
     "enumerate": [often("--n", INT), GUARD],
