@@ -20,6 +20,7 @@ from .betti import (
     Tableau,
     admissible_tableaux,
     betti_vector,
+    betti_vector_bruteforce,
     cell_dimension,
     check_palindromic,
     unified_dimension,

@@ -2,6 +2,14 @@
 varieties: admissible tableaux, cell dimensions, Betti vectors and their
 palindromicity.
 
+``betti_vector`` is a dynamic programme over reading-order prefixes: the
+unified statistic charges each entry k for the entries i with
+k < i <= m_k read before it, so a prefix of the reading word matters only
+through the set of values it holds and its last entry (which admissibility
+tests against the next entry of the same row). ``betti_vector_bruteforce``
+keeps the n! permutation filter (``admissible_tableaux`` and
+``cell_dimension``) as its oracle.
+
 This is the tableau pipeline. It imports only ``base`` and
 ``hessenberg``, so its agreement with the qsym pipeline (``chromatic``,
 ``qsym``, ``pathqsym``, ``character``) is evidence, not tautology;
@@ -116,12 +124,60 @@ def unified_dimension(t: Tableau, m: HessenbergFunction) -> int:
     return count
 
 
+def _add_shifted(acc: dict, dims: dict, shift: int) -> None:
+    for d, c in dims.items():
+        acc[d + shift] = acc.get(d + shift, 0) + c
+
+
 def betti_vector(
     m: HessenbergFunction,
     lam: Partition,
     max_n: int = DEFAULT_MAX_N,
     force: bool = False,
 ) -> BettiVector:
+    """Count admissible tableaux of shape lam by unified dimension, one
+    reading-order position at a time.
+
+    A state is (placed, last): the bitmask of values read so far (bit k-1
+    for value k) and the last value of the open row, 0 at a row start.
+    Placing k after last needs last <= m_k and adds the number of placed
+    values in k+1..m_k to the dimension."""
+    if lam.n != m.n:
+        raise ValueError(f"{lam} is not a partition of {m.n}")
+    check_bound(m.n, max_n, force)
+    n = m.n
+    cap = [0] + [m.m_at(k) for k in range(1, n + 1)]
+    charged = [0] + [(1 << cap[k]) - (1 << k) for k in range(1, n + 1)]
+    # (placed, last) -> {dimension: number of prefixes}
+    layer = {(0, 0): {0: 1}}
+    for width in reversed(lam.parts):
+        for _ in range(width):
+            nxt = {}
+            for (placed, last), dims in layer.items():
+                for k in range(1, n + 1):
+                    if placed >> (k - 1) & 1 or last > cap[k]:
+                        continue
+                    step = (placed & charged[k]).bit_count()
+                    key = (placed | 1 << (k - 1), k)
+                    _add_shifted(nxt.setdefault(key, {}), dims, step)
+            layer = nxt
+        # a new row starts: forget the last value
+        closed = {}
+        for (placed, _), dims in layer.items():
+            _add_shifted(closed.setdefault((placed, 0), {}), dims, 0)
+        layer = closed
+    (dims,) = layer.values()
+    return BettiVector(tuple(sorted((2 * d, c) for d, c in dims.items())), weight(m))
+
+
+def betti_vector_bruteforce(
+    m: HessenbergFunction,
+    lam: Partition,
+    max_n: int = DEFAULT_MAX_N,
+    force: bool = False,
+) -> BettiVector:
+    """Oracle for ``betti_vector``: filter all n! fillings, then sum
+    Tymoczko's two-case ``cell_dimension`` over the admissible ones."""
     counts = {}
     for t in admissible_tableaux(m, lam, max_n, force):
         d = cell_dimension(t, m)

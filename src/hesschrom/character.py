@@ -96,16 +96,22 @@ def frobenius_image(chi: ClassFunction) -> QSymElement:
     )
 
 
-def fixed_space_dims(m: HessenbergFunction, d: int):
+def fixed_space_dims(
+    m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
+):
     """lambda -> c_{d,lambda}(m), the S_lambda-fixed subspace dimensions."""
+    check_bound(m.n, max_n, force)
     if not 0 <= d <= weight(m):
         raise ValueError(f"d={d} outside 0..{weight(m)}")
     cc = c_coeffs(m)
     return {lam: cc.get((d, lam), 0) for lam in partitions(m.n)}
 
 
-def irreducible_multiplicities(m: HessenbergFunction, d: int):
+def irreducible_multiplicities(
+    m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
+):
     """lambda -> coefficient of s_lambda in the t^d slice of omega X."""
+    check_bound(m.n, max_n, force)
     if not 0 <= d <= weight(m):
         raise ValueError(f"d={d} outside 0..{weight(m)}")
     f = omega_x_of(m).t_slice(d)
@@ -147,8 +153,11 @@ class PositivityReport:
         return not self.violations
 
 
-def e_positivity_report(m: HessenbergFunction) -> PositivityReport:
+def e_positivity_report(
+    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
+) -> PositivityReport:
     """Expand X_{G(m)}(t) in the e basis per t-degree; collect negatives."""
+    check_bound(m.n, max_n, force)
     in_e = expand_in_basis(x_of(m), "e")
     checked = 0
     bad = []
@@ -161,12 +170,15 @@ def e_positivity_report(m: HessenbergFunction) -> PositivityReport:
     return PositivityReport(f"e-expansion of X_G(m={m})", checked, tuple(bad))
 
 
-def schur_positivity_report(m: HessenbergFunction) -> PositivityReport:
+def schur_positivity_report(
+    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
+) -> PositivityReport:
     """Schur multiplicities of omega X_{G(m)}(t), all t-degrees."""
+    check_bound(m.n, max_n, force)
     checked = 0
     bad = []
     for d in range(weight(m) + 1):
-        for lam, mult in irreducible_multiplicities(m, d).items():
+        for lam, mult in irreducible_multiplicities(m, d, max_n, force).items():
             checked += 1
             if mult < 0:
                 bad.append((lam, d, mult))

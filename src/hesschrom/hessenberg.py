@@ -106,6 +106,8 @@ def weight(m: HessenbergFunction) -> int:
 
 def enumerate_hessenberg(n: int, max_n: int = DEFAULT_MAX_N, force: bool = False):
     """All Hessenberg functions for n, lexicographically; C_n of them."""
+    if n < 1:
+        raise ValueError(f"n={n}: a Hessenberg function needs n >= 1")
     check_bound(n, max_n, force)
 
     def rec(i, lo):

@@ -68,7 +68,7 @@ def test_criterion_7_omega_calibration():
 
 
 def test_criterion_8_point_count():
-    report = suite_points(max_n=6)
+    report = suite_points(max_n=7)
     _gate(8, "staircase gives n! points; column total n!", report)
 
 

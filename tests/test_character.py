@@ -57,6 +57,12 @@ class TestFixedSpaceDims:
         assert dims[Partition((2,))] == 1
         assert dims[Partition((1, 1))] == 1
 
+    def test_size_guard(self):
+        m = new_hessenberg(4, (2, 3, 4))
+        with pytest.raises(BoundExceededError):
+            fixed_space_dims(m, 0, max_n=3)
+        assert sum(fixed_space_dims(m, 0, max_n=3, force=True).values()) > 0
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_column_entry_is_dimension(self, n):
         for m in enumerate_hessenberg(n):
@@ -80,6 +86,12 @@ class TestIrreducibleMultiplicities:
         mult = irreducible_multiplicities(new_hessenberg(2, (2,)), 0)
         assert mult[Partition((2,))] == 1
         assert mult[Partition((1, 1))] == 0
+
+    def test_size_guard(self):
+        m = new_hessenberg(4, (2, 3, 4))
+        with pytest.raises(BoundExceededError):
+            irreducible_multiplicities(m, 0, max_n=3)
+        assert irreducible_multiplicities(m, 0, max_n=3, force=True)[Partition((4,))] == 1
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_dimension_via_standard_tableaux(self, n):
@@ -110,6 +122,18 @@ class TestPositivityReports:
     def test_k2_e_positive(self):
         report = e_positivity_report(new_hessenberg(2, (2,)))
         assert report.ok
+
+    def test_e_size_guard(self):
+        m = new_hessenberg(4, (2, 3, 4))
+        with pytest.raises(BoundExceededError):
+            e_positivity_report(m, max_n=3)
+        assert e_positivity_report(m, max_n=3, force=True).ok
+
+    def test_schur_size_guard(self):
+        m = new_hessenberg(4, (2, 3, 4))
+        with pytest.raises(BoundExceededError):
+            schur_positivity_report(m, max_n=3)
+        assert schur_positivity_report(m, max_n=3, force=True).ok
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_staircase_e_positive(self, n):

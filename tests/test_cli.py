@@ -125,6 +125,12 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["count"] == 4862
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_size_below_one_exits_2(self, capsys, n):
+        code, out, err = capture(capsys, ["enumerate", "--n", n])
+        assert code == 2
+        assert out == "" and "n >= 1" in err
+
 
 class TestVerify:
     def test_pass(self, capsys):
