@@ -37,7 +37,11 @@ from .character import (
     schur_positivity_report,
     x_of,
 )
-from .chromatic import chromatic_qsym, stable_ordered_partitions
+from .chromatic import (
+    chromatic_qsym,
+    chromatic_qsym_bruteforce,
+    stable_ordered_partitions,
+)
 from .hessenberg import (
     Digraph,
     Graph,
@@ -57,6 +61,7 @@ from .pathqsym import (
     c_via_path_covers,
     ordered_path_covers,
     path_qsym,
+    path_qsym_bruteforce,
     sw_inversions_of_cover,
     sw_to_t_bijection,
     t_inversions_of_cover,

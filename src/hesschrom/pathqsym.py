@@ -1,7 +1,21 @@
 """The path quasisymmetric function Xi_D(x,t) over ordered path covers of
 a digraph, the reciprocity identity omega Xi_D = Xi_{D-complement} as an
 executable check, path-cover counts for the coefficients c_{d,lambda},
-and the explicit SW-to-T inversion bijection on path covers."""
+and the explicit SW-to-T inversion bijection on path covers.
+
+``path_qsym`` is a dynamic programme over subsets. Number the vertices
+by sorted label. A state is (U, last): the bitmask U of vertices already
+in the sequencing and the last vertex of the open path. Its value maps
+(path lengths so far, t-exponent) to a count. A move either starts a new
+path at any free vertex w or extends the open path to a free w with
+last -> w an edge, and the statistic grows by the neutral pairs between
+U and w: for asc, those with a smaller vertex of U; for des, with a
+larger one. That is at most n^2 2^n moves in place of one per ordered
+path cover. ``path_qsym_bruteforce`` keeps the sum over
+``ordered_path_covers`` as its oracle.
+
+This module does not import ``chromatic``, nor ``chromatic`` this one:
+Xi_{D(m)} = X_{G(m)} compares two independent computations."""
 
 from __future__ import annotations
 
@@ -87,10 +101,81 @@ def sequencing_stat(q: tuple, d: Digraph, stat: str = "asc") -> int:
     return count
 
 
+def _unpack(n: int, value: dict) -> QSymElement:
+    """The element held by a final DP value: each key packs a t-exponent
+    above bit n and, below it, the positions at which paths start."""
+    acc = {}
+    for key, count in value.items():
+        acc.setdefault(key & ((1 << n) - 1), {})[key >> n] = count
+    return QSymElement(
+        n,
+        "M",
+        {
+            Composition.from_bars(n, [p for p in range(1, n) if starts >> p & 1]):
+            TPoly(exps)
+            for starts, exps in acc.items()
+        },
+    )
+
+
 def path_qsym(
     d: Digraph, stat: str = "asc", max_n: int = DEFAULT_MAX_N, force: bool = False
 ) -> QSymElement:
-    """Xi_D(x,t) in the M basis."""
+    """Xi_D(x,t) in the M basis, by the subset DP of the module docstring."""
+    if stat not in ("asc", "des"):
+        raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
+    vs = sorted(d.vertices)
+    n = len(vs)
+    check_bound(n, max_n, force)
+    index = {v: i for i, v in enumerate(vs)}
+    succ = [0] * n
+    for u, v in d.edges:
+        succ[index[u]] |= 1 << index[v]
+    # w is charged for the neutral pairs {u, w} with u already placed and,
+    # for asc, u < w; for des, u > w
+    charged = [0] * n
+    for u in range(n):
+        for w in range(n):
+            if u != w and (succ[u] >> w & 1) == (succ[w] >> u & 1):
+                if (u < w) == (stat == "asc"):
+                    charged[w] |= 1 << u
+    full = (1 << n) - 1
+    # states[U]: {last: {key: count}}, where the key packs (path lengths,
+    # exponent) as in _unpack: starting a path at position |U| adds bit
+    # |U|, and every move shifts the exponent by its step. The empty
+    # sequencing has no open path (last = -1). None once expanded.
+    states = [{} for _ in range(full + 1)]
+    states[0][-1] = {0: 1}
+    for used in range(full + 1):
+        value, states[used] = states[used], None
+        # a new path may follow any last vertex, so merge over last first
+        closed = {}
+        for by_key in value.values():
+            for key, count in by_key.items():
+                closed[key] = closed.get(key, 0) + count
+        if used == full:
+            return _unpack(n, closed)
+        start = 1 << used.bit_count()
+        for w in range(n):
+            bit = 1 << w
+            if used & bit:
+                continue
+            shift = (used & charged[w]).bit_count() << n
+            slot = states[used | bit].setdefault(w, {})
+            delta = shift | start
+            for key, count in closed.items():
+                slot[key + delta] = slot.get(key + delta, 0) + count
+            for last, by_key in value.items():
+                if last >= 0 and succ[last] & bit:
+                    for key, count in by_key.items():
+                        slot[key + shift] = slot.get(key + shift, 0) + count
+
+
+def path_qsym_bruteforce(
+    d: Digraph, stat: str = "asc", max_n: int = DEFAULT_MAX_N, force: bool = False
+) -> QSymElement:
+    """Oracle for ``path_qsym``: sum the statistic over every ordered
+    path cover."""
     if stat not in ("asc", "des"):
         raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
     acc = {}

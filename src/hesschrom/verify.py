@@ -144,8 +144,9 @@ def suite_reciprocity(max_n: int = 5, seed: int = 0, random_count: int = 200) ->
         if not result.equal:
             report.record(f"D(m) for m={m}", "equal", f"differs at {result.witness}")
     rng = random.Random(seed)
-    for i in range(random_count):
-        d = random_digraph(rng)
+    # a random digraph has 1..max_n vertices, so none is drawn below n = 1
+    for i in range(random_count if max_n >= 1 else 0):
+        d = random_digraph(rng, max_n)
         result = verify_reciprocity(d, force=True)
         report.checked += 1
         if not result.equal:

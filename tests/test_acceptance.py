@@ -37,9 +37,10 @@ def test_criterion_1_reciprocity():
 
 
 def test_criterion_2_symmetry():
-    report = suite_symmetry(max_n=6)
-    assert report.checked == 196
-    _gate(2, "X_G(m)(t) symmetric, 196 functions", report, budget_ms=60_000)
+    report = suite_symmetry(max_n=7)
+    # Catalan numbers C_1 + ... + C_7
+    assert report.checked == 625
+    _gate(2, "X_G(m)(t) symmetric, 625 functions", report, budget_ms=60_000)
 
 
 def test_criterion_3_betti_equals_c():

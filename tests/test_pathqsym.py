@@ -18,6 +18,7 @@ from hesschrom.pathqsym import (
     path_qsym,
     verify_reciprocity,
 )
+from hesschrom import verify
 from hesschrom.qsym import QSymElement
 
 
@@ -104,6 +105,23 @@ class TestReciprocity:
     def test_all_hessenberg_digraphs(self, n):
         for m in enumerate_hessenberg(n):
             assert verify_reciprocity(digraph(m)).equal
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 5])
+    def test_suite_draws_no_digraph_above_max_n(self, monkeypatch, max_n):
+        seen = []
+
+        def record(d, *args, **kwargs):
+            seen.append(len(d.vertices))
+            return verify_reciprocity(d, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_reciprocity", record)
+        report = verify.suite_reciprocity(max_n=max_n, seed=3, random_count=50)
+        assert report.ok and len(seen) == report.checked
+        assert max(seen) == max_n
+
+    def test_suite_below_one_vertex_checks_nothing(self):
+        report = verify.suite_reciprocity(max_n=0)
+        assert report.checked == 0 and not report.ok
 
 
 class TestCViaPathCovers:

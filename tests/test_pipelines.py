@@ -59,3 +59,9 @@ def test_every_import_form_is_seen(tmp_path):
     assert imported_modules(probe) == {
         "betti", "qsym", "chromatic", "hessenberg", "pathqsym", "character"
     }
+
+
+def test_chromatic_and_pathqsym_do_not_import_each_other():
+    """Xi_{D(m)} = X_{G(m)} compares two engines that share no code."""
+    assert "pathqsym" not in imported_modules(PACKAGE / "chromatic.py")
+    assert "chromatic" not in imported_modules(PACKAGE / "pathqsym.py")
