@@ -9,6 +9,7 @@ from .base import (
     DegreeMismatchError,
     Partition,
     Permutation,
+    Report,
     TPoly,
     compositions,
     is_palindromic,
@@ -81,7 +82,7 @@ from .qsym import (
     quasi_shuffle,
     to_m_basis,
 )
-from .verify import EqualityReport, verify_sw_betti
+from .verify import verify_sw_betti
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,15 +1,16 @@
 """Exact primitives: Laurent polynomials in t, compositions with their bar
-calculus, integer partitions, and permutations with cycle types.
+calculus, integer partitions, and permutations with cycle types; and the
+Report that every check returns.
 
-All values are immutable after construction and all arithmetic is exact
-(arbitrary-precision integers; fractions appear only transiently inside
-basis solves).
+All values but Reports are immutable after construction and all
+arithmetic is exact (arbitrary-precision integers; fractions appear only
+transiently inside basis solves).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -31,6 +32,44 @@ def check_bound(n: int, max_n: int = DEFAULT_MAX_N, force: bool = False) -> None
             f"size {n} exceeds the enumeration guard ({max_n}); "
             f"pass force=True (or --force) to override"
         )
+
+
+@dataclass
+class Report:
+    """The result of a check: how many comparisons it made and a record of
+    each one that failed.  Per-input checks and whole suites share it."""
+
+    suite: str
+    checked: int = 0
+    failures: list = field(default_factory=list)
+    elapsed_ms: int = 0
+
+    @property
+    def ok(self) -> bool:
+        """A check passes only if it checked something and nothing failed."""
+        return self.checked > 0 and not self.failures
+
+    def record(self, input_desc: str, expected, actual):
+        self.failures.append(
+            {"input": input_desc, "expected": str(expected), "actual": str(actual)}
+        )
+
+    def extend(self, other: "Report", context: str = None):
+        """Add other's checks and failures to ours.  A context names the
+        input other ran on and prefixes each of its failures' inputs."""
+        self.checked += other.checked
+        for f in other.failures:
+            if context is not None:
+                f = {**f, "input": f"{context}: {f['input']}"}
+            self.failures.append(f)
+
+    def to_json(self):
+        return {
+            "suite": self.suite,
+            "checked": self.checked,
+            "failures": self.failures,
+            "elapsed_ms": self.elapsed_ms,
+        }
 
 
 class TPoly:
@@ -245,9 +284,6 @@ class Composition:
 
     def sorted_partition(self) -> "Partition":
         return Partition(tuple(sorted(self.parts, reverse=True)))
-
-    def reversed(self) -> "Composition":
-        return Composition(self.parts[::-1])
 
     def __str__(self):
         return "(" + ",".join(map(str, self.parts)) + ")"

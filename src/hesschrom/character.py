@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .base import DEFAULT_MAX_N, Partition, Permutation, check_bound, partitions, z_of
+from .base import (
+    DEFAULT_MAX_N,
+    Partition,
+    Permutation,
+    Report,
+    check_bound,
+    partitions,
+    z_of,
+)
 from .chromatic import chromatic_qsym
 from .hessenberg import HessenbergFunction, incomparability_graph, weight
 from .qsym import QSymElement, contract_to_m, expand_in_basis, omega, to_m_basis
@@ -72,16 +80,23 @@ def c_coeffs(m: HessenbergFunction):
     return out
 
 
+def _degree_slice(
+    m: HessenbergFunction, d: int, max_n: int, force: bool
+) -> QSymElement:
+    """The t^d slice of omega X_{G(m)}(t), after the size guard and a check
+    that d is a degree of H^*(Hess(m))."""
+    check_bound(m.n, max_n, force)
+    if not 0 <= d <= weight(m):
+        raise ValueError(f"d={d} outside 0..{weight(m)}")
+    return omega_x_of(m).t_slice(d)
+
+
 def dot_character(
     m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
 ) -> ClassFunction:
     """Character values on cycle types: chi(mu) = z_mu * [p_mu] f, where
     f is the t^d slice of omega X_{G(m)}(t)."""
-    check_bound(m.n, max_n, force)
-    if not 0 <= d <= weight(m):
-        raise ValueError(f"d={d} outside 0..{weight(m)}")
-    f = omega_x_of(m).t_slice(d)
-    in_p = expand_in_basis(f, "p")
+    in_p = expand_in_basis(_degree_slice(m, d, max_n, force), "p")
     values = []
     for mu in partitions(m.n):
         coeff = in_p.coeff(mu).coeff(0)
@@ -100,22 +115,15 @@ def fixed_space_dims(
     m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
 ):
     """lambda -> c_{d,lambda}(m), the S_lambda-fixed subspace dimensions."""
-    check_bound(m.n, max_n, force)
-    if not 0 <= d <= weight(m):
-        raise ValueError(f"d={d} outside 0..{weight(m)}")
-    cc = c_coeffs(m)
-    return {lam: cc.get((d, lam), 0) for lam in partitions(m.n)}
+    f = _degree_slice(m, d, max_n, force)
+    return {lam: f.coeff(lam).coeff(0) for lam in partitions(m.n)}
 
 
 def irreducible_multiplicities(
     m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
 ):
     """lambda -> coefficient of s_lambda in the t^d slice of omega X."""
-    check_bound(m.n, max_n, force)
-    if not 0 <= d <= weight(m):
-        raise ValueError(f"d={d} outside 0..{weight(m)}")
-    f = omega_x_of(m).t_slice(d)
-    in_s = expand_in_basis(f, "s")
+    in_s = expand_in_basis(_degree_slice(m, d, max_n, force), "s")
     return {
         lam: _as_int(in_s.coeff(lam).coeff(0), f"mult({lam})")
         for lam in partitions(m.n)
@@ -142,44 +150,32 @@ def count_standard_tableaux(lam: Partition) -> int:
     return rec([0] * lam.length)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    subject: str
-    checked: int
-    violations: tuple  # triples (lambda, d, coefficient)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def e_positivity_report(
     m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> PositivityReport:
-    """Expand X_{G(m)}(t) in the e basis per t-degree; collect negatives."""
+) -> Report:
+    """Expand X_{G(m)}(t) in the e basis per t-degree; record negatives."""
     check_bound(m.n, max_n, force)
     in_e = expand_in_basis(x_of(m), "e")
-    checked = 0
-    bad = []
+    report = Report("epos")
     for lam, poly in in_e.sorted_terms():
         for d in poly.exponents():
             c = _as_int(poly.coeff(d), f"e-coefficient at {lam}, t^{d}")
-            checked += 1
+            report.checked += 1
             if c < 0:
-                bad.append((lam, d, c))
-    return PositivityReport(f"e-expansion of X_G(m={m})", checked, tuple(bad))
+                report.record(f"m={m}, lambda={lam}, t^{d}", ">= 0", c)
+    return report
 
 
 def schur_positivity_report(
     m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> PositivityReport:
-    """Schur multiplicities of omega X_{G(m)}(t), all t-degrees."""
+) -> Report:
+    """Schur multiplicities of omega X_{G(m)}(t), all t-degrees; record
+    negatives."""
     check_bound(m.n, max_n, force)
-    checked = 0
-    bad = []
+    report = Report("schur")
     for d in range(weight(m) + 1):
         for lam, mult in irreducible_multiplicities(m, d, max_n, force).items():
-            checked += 1
+            report.checked += 1
             if mult < 0:
-                bad.append((lam, d, mult))
-    return PositivityReport(f"Schur expansion of omega X_G(m={m})", checked, tuple(bad))
+                report.record(f"m={m}, lambda={lam}, t^{d}", ">= 0", mult)
+    return report

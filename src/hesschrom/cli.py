@@ -11,12 +11,7 @@ import argparse
 import json
 import sys
 
-from .base import (
-    BoundExceededError,
-    DEFAULT_MAX_N,
-    Partition,
-    TPoly,
-)
+from .base import DEFAULT_MAX_N, Partition, TPoly
 from .betti import betti_vector
 from .character import dot_character
 from .chromatic import chromatic_qsym
@@ -156,15 +151,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     fn = SUITES[args.suite]
-    kwargs = {}
-    if args.suite == "reciprocity":
-        kwargs["seed"] = args.seed
-        if args.max_n is not None:
-            kwargs["max_n"] = args.max_n
-    elif args.suite == "omega":
-        if args.max_n is not None:
-            kwargs["max_degree"] = args.max_n
-    elif args.max_n is not None:
+    kwargs = {"seed": args.seed} if args.suite == "reciprocity" else {}
+    if args.max_n is not None:
         kwargs["max_n"] = args.max_n
     report = fn(**kwargs)
     if args.json:
@@ -247,9 +235,6 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except BoundExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

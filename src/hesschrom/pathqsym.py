@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import Composition, DEFAULT_MAX_N, TPoly, check_bound
+from .base import Composition, DEFAULT_MAX_N, Report, TPoly, check_bound
 from .hessenberg import Digraph, HessenbergFunction, complement, digraph
 from .qsym import QSymElement, omega
 
@@ -188,25 +188,27 @@ def path_qsym_bruteforce(
     )
 
 
-@dataclass(frozen=True)
-class ReciprocityResult:
-    equal: bool
-    witness: tuple  # (composition, t-exponent) of first discrepancy, or None
-
-
 def verify_reciprocity(
     d: Digraph, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> ReciprocityResult:
-    """Compare omega(Xi_D) with Xi of the complement digraph."""
+) -> Report:
+    """Compare omega(Xi_D) with Xi of the complement digraph as one check.
+    A failure names the first composition where they differ and the lowest
+    t-exponent of the difference."""
+    report = Report("reciprocity", checked=1)
     lhs = omega(path_qsym(d, "asc", max_n, force))
     rhs = path_qsym(complement(d), "asc", max_n, force)
-    if lhs == rhs:
-        return ReciprocityResult(True, None)
-    for alpha in sorted(set(lhs.terms) | set(rhs.terms), key=lambda a: a.parts):
+    if lhs != rhs:
+        keys = lhs.terms.keys() | rhs.terms.keys()
+        alpha = min(
+            (a for a in keys if lhs.coeff(a) != rhs.coeff(a)), key=lambda a: a.parts
+        )
         diff = lhs.coeff(alpha) - rhs.coeff(alpha)
-        if diff:
-            return ReciprocityResult(False, (alpha, min(diff.exponents())))
-    return ReciprocityResult(True, None)  # unreachable
+        report.record(
+            f"vertices {sorted(d.vertices)}, edges {sorted(d.edges)}",
+            "equal",
+            f"differs at M_{alpha}, t^{min(diff.exponents())}",
+        )
+    return report
 
 
 def covers_with_composition(

@@ -1,8 +1,11 @@
 """Brute-force verification suites for the library's identities.
 
-Each suite runner returns a Report; a suite passes iff its failure list
-is empty.  These are the same routines the CLI's ``verify`` subcommand
-and the acceptance tests drive.
+Every check returns a ``Report`` (defined in ``base``): the per-input
+checks (``verify_sw_betti`` here, ``verify_reciprocity`` in ``pathqsym``,
+the positivity reports in ``character``) record their own failures, and
+the suites built on them merge their reports with ``Report.extend``.  A report passes iff
+it checked something and recorded no failure.  These are the same
+routines the CLI's ``verify`` subcommand and the acceptance tests drive.
 """
 
 from __future__ import annotations
@@ -10,9 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
-from .base import DEFAULT_MAX_N, Partition, compositions, partitions
+from .base import DEFAULT_MAX_N, Partition, Report, compositions, partitions
 from .betti import (
     admissible_tableaux,
     betti_vector,
@@ -54,58 +56,27 @@ from .qsym import (
 )
 
 
-@dataclass(frozen=True)
-class EqualityReport:
-    ok: bool
-    checked: int
-    first_discrepancy: tuple  # (lambda, d, betti_count, c_count) or None
-
-
 def verify_sw_betti(
     m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> EqualityReport:
+) -> Report:
     """Check betti_vector(m, lam)(2d) == c_{d, lam}(m) for every lam, d:
     the tableau pipeline against the qsym pipeline."""
     cc = c_coeffs(m)
-    checked = 0
+    report = Report("sw")
     for lam in partitions(m.n):
         bv = betti_vector(m, lam, max_n, force).as_dict()
         degrees = set(d for (d, lm) in cc if lm == lam) | {
             deg // 2 for deg in bv
         }
         for d in sorted(degrees):
-            checked += 1
+            report.checked += 1
             lhs = bv.get(2 * d, 0)
             rhs = cc.get((d, lam), 0)
             if lhs != rhs:
-                return EqualityReport(False, checked, (lam, d, lhs, rhs))
-    return EqualityReport(True, checked, None)
-
-
-@dataclass
-class Report:
-    suite: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    elapsed_ms: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """A suite passes only if it checked something and nothing failed."""
-        return self.checked > 0 and not self.failures
-
-    def record(self, input_desc: str, expected, actual):
-        self.failures.append(
-            {"input": input_desc, "expected": str(expected), "actual": str(actual)}
-        )
-
-    def to_json(self):
-        return {
-            "suite": self.suite,
-            "checked": self.checked,
-            "failures": self.failures,
-            "elapsed_ms": self.elapsed_ms,
-        }
+                report.record(
+                    f"m={m}, lambda={lam}, d={d}", f"c={rhs}", f"beta_2d={lhs}"
+                )
+    return report
 
 
 def _timed(fn):
@@ -139,22 +110,14 @@ def suite_reciprocity(max_n: int = 5, seed: int = 0, random_count: int = 200) ->
     """omega Xi_D = Xi of the complement, on D(m) and random digraphs."""
     report = Report("reciprocity")
     for m in _all_hessenberg(max_n):
-        result = verify_reciprocity(digraph(m), force=True)
-        report.checked += 1
-        if not result.equal:
-            report.record(f"D(m) for m={m}", "equal", f"differs at {result.witness}")
+        report.extend(verify_reciprocity(digraph(m), force=True), f"D(m) for m={m}")
     rng = random.Random(seed)
     # a random digraph has 1..max_n vertices, so none is drawn below n = 1
     for i in range(random_count if max_n >= 1 else 0):
         d = random_digraph(rng, max_n)
-        result = verify_reciprocity(d, force=True)
-        report.checked += 1
-        if not result.equal:
-            report.record(
-                f"random digraph #{i} (seed {seed}): {sorted(d.edges)}",
-                "equal",
-                f"differs at {result.witness}",
-            )
+        report.extend(
+            verify_reciprocity(d, force=True), f"random digraph #{i} (seed {seed})"
+        )
     return report
 
 
@@ -175,13 +138,7 @@ def suite_sw(max_n: int = 6) -> Report:
     """Tableau Betti numbers equal the omega-qsym coefficients c_{d,lambda}."""
     report = Report("sw")
     for m in _all_hessenberg(max_n):
-        result = verify_sw_betti(m, force=True)
-        report.checked += result.checked
-        if not result.ok:
-            lam, d, lhs, rhs = result.first_discrepancy
-            report.record(
-                f"m={m}, lambda={lam}, d={d}", f"c={rhs}", f"beta_2d={lhs}"
-            )
+        report.extend(verify_sw_betti(m, force=True))
     return report
 
 
@@ -254,10 +211,7 @@ def suite_epos(max_n: int = 6) -> Report:
     """e-positivity scan of X_{G(m)}(t) (conjecture-scale evidence only)."""
     report = Report("epos")
     for m in _all_hessenberg(max_n):
-        sub = e_positivity_report(m)
-        report.checked += sub.checked
-        for lam, d, c in sub.violations:
-            report.record(f"m={m}, lambda={lam}, t^{d}", ">= 0", c)
+        report.extend(e_positivity_report(m))
     return report
 
 
@@ -266,19 +220,16 @@ def suite_schur(max_n: int = 6) -> Report:
     """Nonnegativity of Schur multiplicities of omega X_{G(m)}(t)."""
     report = Report("schur")
     for m in _all_hessenberg(max_n):
-        sub = schur_positivity_report(m)
-        report.checked += sub.checked
-        for lam, d, c in sub.violations:
-            report.record(f"m={m}, lambda={lam}, t^{d}", ">= 0", c)
+        report.extend(schur_positivity_report(m))
     return report
 
 
 @_timed
-def suite_omega(max_degree: int = 8) -> Report:
+def suite_omega(max_n: int = 8) -> Report:
     """Calibration of the involution: omega^2 = id, omega F_a = F_{a-bar},
     omega e = h, omega p_k = (-1)^(k-1) p_k."""
     report = Report("omega")
-    for n in range(1, max_degree + 1):
+    for n in range(1, max_n + 1):
         for alpha in compositions(n):
             m_alpha = QSymElement.monomial(alpha, "M")
             report.checked += 1

@@ -64,7 +64,7 @@ def test_criterion_6_palindromicity():
 
 
 def test_criterion_7_omega_calibration():
-    report = suite_omega(max_degree=8)
+    report = suite_omega(max_n=8)
     _gate(7, "omega^2 = id, omega F/e/p calibration", report)
 
 

@@ -8,6 +8,7 @@ from hesschrom.base import (
     DegreeMismatchError,
     Partition,
     Permutation,
+    Report,
     TPoly,
     compositions,
     is_palindromic,
@@ -156,3 +157,40 @@ class TestPalindromic:
         assert is_palindromic(TPoly({-1: 1, 1: 1}), 0)
         assert is_palindromic(TPoly({0: 1, 1: 2, 2: 1}), 1)
         assert not is_palindromic(TPoly({0: 1, 2: 1}), 0)
+
+
+class TestReport:
+    def test_checking_nothing_is_not_ok(self):
+        assert not Report("empty").ok
+        assert Report("one", checked=1).ok
+
+    def test_a_failure_is_not_ok(self):
+        report = Report("one", checked=1)
+        report.record("x=1", 2, 3)
+        assert not report.ok
+        assert report.failures == [{"input": "x=1", "expected": "2", "actual": "3"}]
+
+    def test_extend_sums_checks_and_failures(self):
+        total = Report("suite", checked=2)
+        total.record("a", 0, 1)
+        part = Report("part", checked=3)
+        part.record("b", 0, 2)
+        part.record("c", 0, 3)
+        total.extend(part)
+        total.extend(Report("clean", checked=4), "unused")
+        assert total.checked == 9
+        assert [f["input"] for f in total.failures] == ["a", "b", "c"]
+
+    def test_extend_with_context_prefixes_inputs(self):
+        part = Report("part", checked=1)
+        part.record("edges []", "equal", "differs")
+        total = Report("suite")
+        total.extend(part, "draw #4")
+        assert total.failures[0]["input"] == "draw #4: edges []"
+        assert part.failures[0]["input"] == "edges []"
+        assert total.to_json() == {
+            "suite": "suite",
+            "checked": 1,
+            "failures": total.failures,
+            "elapsed_ms": 0,
+        }

@@ -33,8 +33,11 @@ class TestDotCharacter:
                 assert chi(mu) == 0
 
     def test_d_out_of_range(self):
-        with pytest.raises(ValueError):
-            dot_character(new_hessenberg(2, (2,)), 2)
+        m = new_hessenberg(2, (2,))
+        for fn in (dot_character, fixed_space_dims, irreducible_multiplicities):
+            for d in (-1, 2):
+                with pytest.raises(ValueError):
+                    fn(m, d)
 
     def test_size_guard(self):
         m = new_hessenberg(4, (2, 3, 4))

@@ -96,15 +96,15 @@ class TestPathQsym:
 class TestReciprocity:
     def test_edgeless_pair(self):
         result = verify_reciprocity(dg({1, 2}))
-        assert result.equal
+        assert result.ok
 
     def test_single_vertex(self):
-        assert verify_reciprocity(dg({4})).equal
+        assert verify_reciprocity(dg({4})).ok
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_all_hessenberg_digraphs(self, n):
         for m in enumerate_hessenberg(n):
-            assert verify_reciprocity(digraph(m)).equal
+            assert verify_reciprocity(digraph(m)).ok
 
     @pytest.mark.parametrize("max_n", [1, 2, 3, 5])
     def test_suite_draws_no_digraph_above_max_n(self, monkeypatch, max_n):

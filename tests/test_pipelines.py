@@ -65,3 +65,9 @@ def test_chromatic_and_pathqsym_do_not_import_each_other():
     """Xi_{D(m)} = X_{G(m)} compares two engines that share no code."""
     assert "pathqsym" not in imported_modules(PACKAGE / "chromatic.py")
     assert "chromatic" not in imported_modules(PACKAGE / "pathqsym.py")
+
+
+def test_pipelines_do_not_import_verify():
+    """A pipeline never depends on the suites that compare it."""
+    for name in ("betti",) + QSYM_PIPELINE:
+        assert "verify" not in imported_modules(PACKAGE / f"{name}.py"), name

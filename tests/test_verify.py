@@ -1,0 +1,91 @@
+"""Failure paths of the suites that merge per-input reports.
+
+Each test corrupts one dependency for exactly one input and checks that
+the suite fails, that it checked as much as on the clean run, and that
+the failure record names the input: the Hessenberg function m, or the
+draw number and seed of a random digraph.
+"""
+
+import pytest
+
+from hesschrom import character, pathqsym, verify
+from hesschrom.hessenberg import new_hessenberg
+
+TARGET = new_hessenberg(3, (2, 3))
+
+
+def _assert_one_input_fails(clean, report, prefix):
+    assert clean.ok
+    assert not report.ok
+    assert report.checked == clean.checked
+    assert report.failures
+    assert all(f["input"].startswith(prefix) for f in report.failures)
+
+
+def test_sw_names_m_lambda_and_d(monkeypatch):
+    clean = verify.suite_sw(max_n=3)
+    real = verify.c_coeffs
+
+    def corrupted(m):
+        cc = dict(real(m))
+        if m == TARGET:
+            cc[next(iter(cc))] += 1
+        return cc
+
+    monkeypatch.setattr(verify, "c_coeffs", corrupted)
+    report = verify.suite_sw(max_n=3)
+    _assert_one_input_fails(clean, report, f"m={TARGET}, ")
+    (failure,) = report.failures
+    d, lam = next(iter(real(TARGET)))
+    assert failure["input"] == f"m={TARGET}, lambda={lam}, d={d}"
+
+
+def test_epos_names_m_lambda_and_degree(monkeypatch):
+    clean = verify.suite_epos(max_n=3)
+    real = character.x_of
+
+    def corrupted(m):
+        x = real(m)
+        return x.scaled(-1) if m == TARGET else x
+
+    monkeypatch.setattr(character, "x_of", corrupted)
+    report = verify.suite_epos(max_n=3)
+    _assert_one_input_fails(clean, report, f"m={TARGET}, lambda=")
+    assert all(", t^" in f["input"] for f in report.failures)
+
+
+def test_schur_names_m_lambda_and_degree(monkeypatch):
+    clean = verify.suite_schur(max_n=3)
+    real = character.irreducible_multiplicities
+
+    def corrupted(m, d, *args, **kwargs):
+        mult = real(m, d, *args, **kwargs)
+        return {lam: -c for lam, c in mult.items()} if m == TARGET else mult
+
+    monkeypatch.setattr(character, "irreducible_multiplicities", corrupted)
+    report = verify.suite_schur(max_n=3)
+    _assert_one_input_fails(clean, report, f"m={TARGET}, lambda=")
+    assert all(", t^" in f["input"] for f in report.failures)
+
+
+@pytest.mark.parametrize("bad_call", [2, 8 + 4])
+def test_reciprocity_names_m_or_draw_and_seed(monkeypatch, bad_call):
+    clean = verify.suite_reciprocity(max_n=3, seed=5, random_count=10)
+    real = pathqsym.omega
+    calls = []
+
+    def corrupted(x):
+        calls.append(x)
+        wx = real(x)
+        return wx.scaled(2) if len(calls) == bad_call + 1 else wx
+
+    monkeypatch.setattr(pathqsym, "omega", corrupted)
+    report = verify.suite_reciprocity(max_n=3, seed=5, random_count=10)
+    # the suite runs the 1 + 2 + 5 digraphs D(m) with n <= 3 first
+    if bad_call < 8:
+        m = list(verify._all_hessenberg(3))[bad_call]
+        prefix = f"D(m) for m={m}: "
+    else:
+        prefix = f"random digraph #{bad_call - 8} (seed 5): "
+    _assert_one_input_fails(clean, report, prefix)
+    assert len(report.failures) == 1
