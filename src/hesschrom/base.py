@@ -96,6 +96,14 @@ class TPoly:
         self.terms = clean
 
     @classmethod
+    def _of(cls, terms: dict) -> "TPoly":
+        """Wrap terms without the normalising pass of ``__init__``.
+        Precondition: no coefficient in terms is zero."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    @classmethod
     def const(cls, c):
         return cls({0: c}) if c else cls()
 
@@ -139,16 +147,12 @@ class TPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = TPoly()
-        res.terms = out
-        return res
+        return TPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = TPoly()
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return TPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -163,9 +167,7 @@ class TPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return TPoly()
-            res = TPoly()
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            return TPoly._of({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, TPoly):
             return NotImplemented
         out = {}
@@ -177,22 +179,16 @@ class TPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = TPoly()
-        res.terms = out
-        return res
+        return TPoly._of(out)
 
     __rmul__ = __mul__
 
     def shifted(self, k: int) -> "TPoly":
-        res = TPoly()
-        res.terms = {e + k: c for e, c in self.terms.items()}
-        return res
+        return TPoly._of({e + k: c for e, c in self.terms.items()})
 
     def reciprocal(self) -> "TPoly":
         """The substitution t -> 1/t."""
-        res = TPoly()
-        res.terms = {-e: c for e, c in self.terms.items()}
-        return res
+        return TPoly._of({-e: c for e, c in self.terms.items()})
 
     def evaluate(self, x):
         return sum(c * x**e for e, c in self.terms.items())

@@ -150,20 +150,28 @@ def count_standard_tableaux(lam: Partition) -> int:
     return rec([0] * lam.length)
 
 
+def _negativity_report(suite: str, m: HessenbergFunction, triples) -> Report:
+    """Count each (lambda, d, c) triple; record each c < 0."""
+    report = Report(suite)
+    for lam, d, c in triples:
+        report.checked += 1
+        if c < 0:
+            report.record(f"m={m}, lambda={lam}, t^{d}", ">= 0", c)
+    return report
+
+
 def e_positivity_report(
     m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
 ) -> Report:
     """Expand X_{G(m)}(t) in the e basis per t-degree; record negatives."""
     check_bound(m.n, max_n, force)
     in_e = expand_in_basis(x_of(m), "e")
-    report = Report("epos")
-    for lam, poly in in_e.sorted_terms():
-        for d in poly.exponents():
-            c = _as_int(poly.coeff(d), f"e-coefficient at {lam}, t^{d}")
-            report.checked += 1
-            if c < 0:
-                report.record(f"m={m}, lambda={lam}, t^{d}", ">= 0", c)
-    return report
+    triples = (
+        (lam, d, _as_int(poly.coeff(d), f"e-coefficient at {lam}, t^{d}"))
+        for lam, poly in in_e.sorted_terms()
+        for d in poly.exponents()
+    )
+    return _negativity_report("epos", m, triples)
 
 
 def schur_positivity_report(
@@ -172,10 +180,9 @@ def schur_positivity_report(
     """Schur multiplicities of omega X_{G(m)}(t), all t-degrees; record
     negatives."""
     check_bound(m.n, max_n, force)
-    report = Report("schur")
-    for d in range(weight(m) + 1):
-        for lam, mult in irreducible_multiplicities(m, d, max_n, force).items():
-            report.checked += 1
-            if mult < 0:
-                report.record(f"m={m}, lambda={lam}, t^{d}", ">= 0", mult)
-    return report
+    triples = (
+        (lam, d, mult)
+        for d in range(weight(m) + 1)
+        for lam, mult in irreducible_multiplicities(m, d, max_n, force).items()
+    )
+    return _negativity_report("schur", m, triples)

@@ -4,17 +4,24 @@ Every check returns a ``Report`` (defined in ``base``): the per-input
 checks (``verify_sw_betti`` here, ``verify_reciprocity`` in ``pathqsym``,
 the positivity reports in ``character``) record their own failures, and
 the suites built on them merge their reports with ``Report.extend``.  A report passes iff
-it checked something and recorded no failure.  These are the same
-routines the CLI's ``verify`` subcommand and the acceptance tests drive.
+it checked something and recorded no failure.
+
+Each suite is a ``suite_<name>`` function declared with ``@_suite``, which
+registers it in ``SUITES`` under ``<name>``, hands it a fresh ``Report``
+of that name to fill in and times it.  ``SUITES`` gives the choices of
+the CLI's ``verify --suite``; the acceptance tests call the same functions.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
+import math
 import random
 import time
 
-from .base import DEFAULT_MAX_N, Partition, Report, compositions, partitions
+from .base import DEFAULT_MAX_N, Partition, Report, check_bound, compositions, partitions
 from .betti import (
     admissible_tableaux,
     betti_vector,
@@ -61,6 +68,7 @@ def verify_sw_betti(
 ) -> Report:
     """Check betti_vector(m, lam)(2d) == c_{d, lam}(m) for every lam, d:
     the tableau pipeline against the qsym pipeline."""
+    check_bound(m.n, max_n, force)
     cc = c_coeffs(m)
     report = Report("sw")
     for lam in partitions(m.n):
@@ -79,14 +87,31 @@ def verify_sw_betti(
     return report
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
+SUITES = {}
+
+
+def _suite(fn):
+    """Register a suite in SUITES under its name minus ``suite_``.
+
+    The body fills in the fresh Report of that name it gets as its first
+    argument; callers pass only the other parameters and get the report
+    back with ``elapsed_ms`` set."""
+    name = fn.__name__.removeprefix("suite_")
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        report = Report(name)
         start = time.monotonic()
-        report = fn(*args, **kwargs)
+        fn(report, *args, **kwargs)
         report.elapsed_ms = int((time.monotonic() - start) * 1000)
         return report
 
-    return wrapper
+    sig = inspect.signature(fn)
+    run.__signature__ = sig.replace(
+        parameters=list(sig.parameters.values())[1:], return_annotation="Report"
+    )
+    SUITES[name] = run
+    return run
 
 
 def _all_hessenberg(max_n: int):
@@ -105,10 +130,11 @@ def random_digraph(rng: random.Random, max_vertices: int = 5) -> Digraph:
     return Digraph(vs, edges)
 
 
-@_timed
-def suite_reciprocity(max_n: int = 5, seed: int = 0, random_count: int = 200) -> Report:
+@_suite
+def suite_reciprocity(
+    report: Report, max_n: int = 5, seed: int = 0, random_count: int = 200
+):
     """omega Xi_D = Xi of the complement, on D(m) and random digraphs."""
-    report = Report("reciprocity")
     for m in _all_hessenberg(max_n):
         report.extend(verify_reciprocity(digraph(m), force=True), f"D(m) for m={m}")
     rng = random.Random(seed)
@@ -118,34 +144,28 @@ def suite_reciprocity(max_n: int = 5, seed: int = 0, random_count: int = 200) ->
         report.extend(
             verify_reciprocity(d, force=True), f"random digraph #{i} (seed {seed})"
         )
-    return report
 
 
-@_timed
-def suite_symmetry(max_n: int = 6) -> Report:
+@_suite
+def suite_symmetry(report: Report, max_n: int = 6):
     """X_{G(m)}(t) is a symmetric function for every Hessenberg m."""
-    report = Report("symmetry")
     for m in _all_hessenberg(max_n):
         x = chromatic_qsym(incomparability_graph(m), "asc", force=True)
         report.checked += 1
         if not is_symmetric(x):
             report.record(f"m={m}", "symmetric", "not symmetric")
-    return report
 
 
-@_timed
-def suite_sw(max_n: int = 6) -> Report:
+@_suite
+def suite_sw(report: Report, max_n: int = 6):
     """Tableau Betti numbers equal the omega-qsym coefficients c_{d,lambda}."""
-    report = Report("sw")
     for m in _all_hessenberg(max_n):
         report.extend(verify_sw_betti(m, force=True))
-    return report
 
 
-@_timed
-def suite_unified(max_n: int = 6) -> Report:
+@_suite
+def suite_unified(report: Report, max_n: int = 6):
     """Tymoczko's two-case dimension equals the unified reading-order count."""
-    report = Report("unified")
     for m in _all_hessenberg(max_n):
         for lam in partitions(m.n):
             for t in admissible_tableaux(m, lam, force=True):
@@ -153,13 +173,11 @@ def suite_unified(max_n: int = 6) -> Report:
                 a, b = cell_dimension(t, m), unified_dimension(t, m)
                 if a != b:
                     report.record(f"m={m}, T={t.rows}", a, b)
-    return report
 
 
-@_timed
-def suite_bijection(max_n: int = 5) -> Report:
+@_suite
+def suite_bijection(report: Report, max_n: int = 5):
     """The SW-to-T scan is a bijection for every ordered path cover."""
-    report = Report("bijection")
     for m in _all_hessenberg(max_n):
         dbar = complement(digraph(m))
         for cover in ordered_path_covers(dbar, force=True):
@@ -178,14 +196,12 @@ def suite_bijection(max_n: int = 5) -> Report:
                     f"bijection onto {sorted(tv)}",
                     f"map {mapping}",
                 )
-    return report
 
 
-@_timed
-def suite_palindromic(max_n: int = 6) -> Report:
+@_suite
+def suite_palindromic(report: Report, max_n: int = 6):
     """Laurent palindromicity of the Betti generating function, and the
     coefficient identity X(t) = t^{|m|} X(1/t)."""
-    report = Report("palindromic")
     for m in _all_hessenberg(max_n):
         w = weight(m)
         for lam in partitions(m.n):
@@ -203,32 +219,26 @@ def suite_palindromic(max_n: int = 6) -> Report:
                     "t^|m|-palindromic",
                     str(poly),
                 )
-    return report
 
 
-@_timed
-def suite_epos(max_n: int = 6) -> Report:
+@_suite
+def suite_epos(report: Report, max_n: int = 6):
     """e-positivity scan of X_{G(m)}(t) (conjecture-scale evidence only)."""
-    report = Report("epos")
     for m in _all_hessenberg(max_n):
         report.extend(e_positivity_report(m))
-    return report
 
 
-@_timed
-def suite_schur(max_n: int = 6) -> Report:
+@_suite
+def suite_schur(report: Report, max_n: int = 6):
     """Nonnegativity of Schur multiplicities of omega X_{G(m)}(t)."""
-    report = Report("schur")
     for m in _all_hessenberg(max_n):
         report.extend(schur_positivity_report(m))
-    return report
 
 
-@_timed
-def suite_omega(max_n: int = 8) -> Report:
+@_suite
+def suite_omega(report: Report, max_n: int = 8):
     """Calibration of the involution: omega^2 = id, omega F_a = F_{a-bar},
     omega e = h, omega p_k = (-1)^(k-1) p_k."""
-    report = Report("omega")
     for n in range(1, max_n + 1):
         for alpha in compositions(n):
             m_alpha = QSymElement.monomial(alpha, "M")
@@ -248,14 +258,12 @@ def suite_omega(max_n: int = 8) -> Report:
         report.checked += 1
         if omega(pk) != pk.scaled((-1) ** (n - 1)):
             report.record(f"omega p_{n}", f"(-1)^{n - 1} p_{n}", "differs")
-    return report
 
 
-@_timed
-def suite_character(max_n: int = 6) -> Report:
+@_suite
+def suite_character(report: Report, max_n: int = 6):
     """Integrality, Frobenius reconstruction, and the dimension identity
     chi(1^n) = beta_{2d}(m, (1^n))."""
-    report = Report("character")
     for m in _all_hessenberg(max_n):
         wx = omega_x_of(m)
         column = Partition((1,) * m.n)
@@ -272,41 +280,18 @@ def suite_character(max_n: int = 6) -> Report:
                     f"chi(1^n) = {bv.get(2 * d, 0)}",
                     chi.dimension(),
                 )
-    return report
 
 
-@_timed
-def suite_points(max_n: int = 6) -> Report:
+@_suite
+def suite_points(report: Report, max_n: int = 6):
     """The staircase m gives n! points; column shapes always total n!."""
-    import math
-
-    report = Report("points")
-    for n in range(1, max_n + 1):
-        column = Partition((1,) * n)
-        for m in enumerate_hessenberg(n, force=True):
-            bv = betti_vector(m, column, force=True)
+    for m in _all_hessenberg(max_n):
+        points = math.factorial(m.n)
+        bv = betti_vector(m, Partition((1,) * m.n), force=True)
+        report.checked += 1
+        if bv.total() != points:
+            report.record(f"m={m}", points, bv.total())
+        if weight(m) == 0:
             report.checked += 1
-            if bv.total() != math.factorial(n):
-                report.record(f"m={m}", math.factorial(n), bv.total())
-            if weight(m) == 0:
-                report.checked += 1
-                if bv.as_dict() != {0: math.factorial(n)}:
-                    report.record(
-                        f"staircase m={m}", {0: math.factorial(n)}, bv.as_dict()
-                    )
-    return report
-
-
-SUITES = {
-    "reciprocity": suite_reciprocity,
-    "symmetry": suite_symmetry,
-    "sw": suite_sw,
-    "unified": suite_unified,
-    "bijection": suite_bijection,
-    "palindromic": suite_palindromic,
-    "epos": suite_epos,
-    "schur": suite_schur,
-    "omega": suite_omega,
-    "character": suite_character,
-    "points": suite_points,
-}
+            if bv.as_dict() != {0: points}:
+                report.record(f"staircase m={m}", {0: points}, bv.as_dict())

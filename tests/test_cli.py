@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hesschrom.cli import run
+from hesschrom.verify import SUITES
 
 
 def capture(capsys, argv):
@@ -149,9 +150,10 @@ class TestVerify:
         assert out.startswith("PASS")
 
     def test_suite_that_checks_nothing_fails(self, capsys):
-        code, out, _ = capture(capsys, ["verify", "--suite", "omega", "--max-n", "0"])
-        assert code == 1
-        assert out.startswith("FAIL") and "checked=0" in out
+        for suite in sorted(SUITES):
+            code, out, _ = capture(capsys, ["verify", "--suite", suite, "--max-n", "0"])
+            assert code == 1, suite
+            assert out.startswith(f"FAIL suite={suite} checked=0 "), out
 
     def test_force_flag_is_not_accepted(self, capsys):
         code, _, err = capture(capsys, ["verify", "--suite", "omega", "--force"])

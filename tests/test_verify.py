@@ -3,13 +3,17 @@
 Each test corrupts one dependency for exactly one input and checks that
 the suite fails, that it checked as much as on the clean run, and that
 the failure record names the input: the Hessenberg function m, or the
-draw number and seed of a random digraph.
+draw number and seed of a random digraph.  Also: the suite registry and
+the size guard of ``verify_sw_betti``.
 """
+
+import inspect
 
 import pytest
 
 from hesschrom import character, pathqsym, verify
-from hesschrom.hessenberg import new_hessenberg
+from hesschrom.base import BoundExceededError
+from hesschrom.hessenberg import new_hessenberg, staircase
 
 TARGET = new_hessenberg(3, (2, 3))
 
@@ -89,3 +93,28 @@ def test_reciprocity_names_m_or_draw_and_seed(monkeypatch, bad_call):
         prefix = f"random digraph #{bad_call - 8} (seed 5): "
     _assert_one_input_fails(clean, report, prefix)
     assert len(report.failures) == 1
+
+
+def test_every_suite_is_registered_under_its_name():
+    names = {n.removeprefix("suite_") for n in dir(verify) if n.startswith("suite_")}
+    assert names == set(verify.SUITES)
+    for k, fn in verify.SUITES.items():
+        assert fn is getattr(verify, f"suite_{k}")
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_registered_suite_fills_a_timed_report_of_its_name(name):
+    fn = verify.SUITES[name]
+    assert list(inspect.signature(fn).parameters)[0] == "max_n"
+    report = fn(max_n=1)
+    assert report.suite == name
+    assert type(report.elapsed_ms) is int and report.elapsed_ms >= 0
+
+
+def test_sw_betti_guards_size_before_computing(monkeypatch):
+    def unreachable(m):
+        raise AssertionError("c_coeffs ran before the size guard")
+
+    monkeypatch.setattr(verify, "c_coeffs", unreachable)
+    with pytest.raises(BoundExceededError):
+        verify.verify_sw_betti(staircase(9))
