@@ -1,6 +1,10 @@
 """Command-line front end: exact computation and identity verification
 with deterministic text or JSON output.
 
+At module level this file imports only ``base`` and ``hessenberg``.  Each
+subcommand imports its own pipeline when it runs, and only ``verify``
+imports them all, so a cold request pays for no module it does not use.
+
 Exit codes: 0 success / suite passed, 1 verification failure, 2 usage or
 validation error.
 """
@@ -10,20 +14,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .base import DEFAULT_MAX_N, Partition, TPoly
-from .betti import betti_vector
-from .character import dot_character
-from .chromatic import chromatic_qsym
 from .hessenberg import (
     Digraph,
     HessenbergFunction,
     enumerate_hessenberg,
     incomparability_graph,
 )
-from .pathqsym import path_qsym
-from .qsym import SYM_BASES, QSymElement, expand_in_basis, omega, to_m_basis
-from .verify import SUITES
+
+if TYPE_CHECKING:
+    from .qsym import QSymElement
 
 
 def poly_json(p: TPoly):
@@ -31,6 +33,7 @@ def poly_json(p: TPoly):
 
 
 def expansion_json(x: QSymElement):
+    from .qsym import SYM_BASES
     key = "partition" if x.basis in SYM_BASES else "composition"
     return {
         "degree": x.n,
@@ -75,6 +78,8 @@ def _parse_digraph(args) -> Digraph:
 
 def _cmd_xg(args) -> int:
     """X_{G(m)}(t) for ``xg``, omega X_{G(m)}(t) for ``omega-xg``."""
+    from .chromatic import chromatic_qsym
+    from .qsym import expand_in_basis, omega, to_m_basis
     m = _parse_hessenberg(args)
     x = chromatic_qsym(
         incomparability_graph(m), args.stat, max_n=args.max_n, force=args.force
@@ -90,6 +95,7 @@ def _cmd_xg(args) -> int:
 
 
 def _cmd_xi(args) -> int:
+    from .pathqsym import path_qsym
     d = _parse_digraph(args)
     xi = path_qsym(d, args.stat, max_n=args.max_n, force=args.force)
     _print_expansion(xi, args.json)
@@ -97,6 +103,7 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_betti(args) -> int:
+    from .betti import betti_vector
     m = _parse_hessenberg(args)
     lam = Partition(_parse_ints(args.lam))
     bv = betti_vector(m, lam, max_n=args.max_n, force=args.force)
@@ -118,6 +125,7 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_character(args) -> int:
+    from .character import dot_character
     m = _parse_hessenberg(args)
     chi = dot_character(m, args.d, max_n=args.max_n, force=args.force)
     if args.json:
@@ -150,6 +158,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES
     fn = SUITES[args.suite]
     kwargs = {"seed": args.seed} if args.suite == "reciprocity" else {}
     if args.max_n is not None:
@@ -168,7 +177,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(suites=()) -> argparse.ArgumentParser:
     # each subcommand gets only the flags it reads
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true", help="machine-readable output")
@@ -219,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", parents=[output], help="run a verification suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p.add_argument("--suite", choices=sorted(suites), required=True)
     # suites take their own default sizes when --max-n is not given
     p.add_argument("--max-n", type=int, default=None, help="suite size")
     p.add_argument("--seed", type=int, default=0, help="seed for random suites")
@@ -228,7 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    # listing the suites imports verify and every pipeline, so only a
+    # verify request pays for it; the subcommand is argv's first positional
+    suites = ()
+    if next((a for a in argv if not a.startswith("-")), None) == "verify":
+        from .verify import SUITES as suites
+    parser = build_parser(suites)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -154,6 +155,19 @@ class TestVerify:
             code, out, _ = capture(capsys, ["verify", "--suite", suite, "--max-n", "0"])
             assert code == 1, suite
             assert out.startswith(f"FAIL suite={suite} checked=0 "), out
+
+    def test_usage_lists_every_suite(self, capsys):
+        """The choices come from SUITES, read only when verify runs."""
+        code, out, _ = capture(capsys, ["verify", "--help"])
+        assert code == 0
+        usage = out.split("\n\n")[0]
+        assert re.search(r"--suite\s+\{([^}]*)\}", usage)[1].split(",") == sorted(SUITES)
+
+    def test_unknown_suite_exits_2_naming_the_choices(self, capsys):
+        code, out, err = capture(capsys, ["verify", "--suite", "nope"])
+        assert code == 2 and out == ""
+        choices = ", ".join(repr(s) for s in sorted(SUITES))
+        assert f"invalid choice: 'nope' (choose from {choices})" in err
 
     def test_force_flag_is_not_accepted(self, capsys):
         code, _, err = capture(capsys, ["verify", "--suite", "omega", "--force"])
