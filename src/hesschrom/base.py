@@ -5,14 +5,24 @@ Report that every check returns.
 All values but Reports are immutable after construction and all
 arithmetic is exact (arbitrary-precision integers; fractions appear only
 transiently inside basis solves).
+
+Value types, here and in the other modules, are hand-written slotted
+classes (the immutable ones on the private ``_Frozen`` base below), each
+with its own ``__eq__`` and ``__hash__``.  No module of the package
+imports ``dataclasses``, and this one does not import ``fractions``: every
+CLI request is a fresh process that imports this module, and with cached
+bytecode ``dataclasses`` (through the ``inspect`` it loads) cost each cold
+request about 8 ms, ``fractions`` (through ``decimal``) about 3 ms, and
+the dataclass decorators on eleven classes a few ms more, although
+``betti`` and ``enumerate`` requests never make a Fraction.  Without them
+``hesschrom.base`` imports in about 1 ms (13 ms before).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
+from numbers import Rational
 
 
 class DegreeMismatchError(ValueError):
@@ -34,15 +44,60 @@ def check_bound(n: int, max_n: int = DEFAULT_MAX_N, force: bool = False) -> None
         )
 
 
-@dataclass
+class FrozenInstanceError(AttributeError):
+    """An attribute of an immutable value was assigned or deleted."""
+
+
+class _Frozen:
+    """Base of the immutable value types: slotted, with fields set once in
+    ``__init__`` through ``object.__setattr__`` and never again, a
+    dataclass-style ``repr``, and a ``__reduce__`` that rebuilds through
+    the constructor, so ``pickle`` and ``copy`` work although
+    ``__setattr__`` refuses.  ``_fields`` names the constructor's
+    arguments, in order.  Each subclass writes its own ``__eq__`` and
+    ``__hash__``: partitions and compositions are dict and lru keys on
+    hot paths, where a generic loop over ``_fields`` is six times slower."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
 class Report:
     """The result of a check: how many comparisons it made and a record of
     each one that failed.  Per-input checks and whole suites share it."""
 
-    suite: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("suite", "checked", "failures", "elapsed_ms")
+    __hash__ = None
+
+    def __init__(self, suite: str, checked: int = 0, failures: list = None,
+                 elapsed_ms: int = 0):
+        self.suite = suite
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.elapsed_ms = elapsed_ms
+
+    def __repr__(self):
+        return (f"Report(suite={self.suite!r}, checked={self.checked!r}, "
+                f"failures={self.failures!r}, elapsed_ms={self.elapsed_ms!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.suite, self.checked, self.failures, self.elapsed_ms) == (
+                other.suite, other.checked, other.failures, other.elapsed_ms)
+        return NotImplemented
 
     @property
     def ok(self) -> bool:
@@ -123,7 +178,7 @@ class TPoly:
     def _coerced(self, other):
         if isinstance(other, TPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Rational)):
             return TPoly.const(other)
         return None
 
@@ -164,22 +219,22 @@ class TPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, TPoly):
+            out = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = e1 + e2
+                    s = out.get(e, 0) + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        out.pop(e, None)
+            return TPoly._of(out)
+        if isinstance(other, (int, Rational)):
             if not other:
                 return TPoly()
             return TPoly._of({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return TPoly._of(out)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -215,8 +270,7 @@ class TPoly:
         return f"TPoly({self.terms!r})"
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(_Frozen):
     """A sequence of positive parts; the empty composition has degree 0.
 
     The bar-set view puts vertical bars in a subset of the n-1 gaps of a
@@ -224,12 +278,21 @@ class Composition:
     paper-style size statistic (number of bars, i.e. length - 1).
     """
 
-    parts: tuple
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
-            raise ValueError(f"composition parts must be positive integers: {self.parts}")
+    def __init__(self, parts: tuple):
+        parts = tuple(parts)
+        if any(not isinstance(p, int) or p < 1 for p in parts):
+            raise ValueError(f"composition parts must be positive integers: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @property
     def n(self) -> int:
@@ -285,18 +348,26 @@ class Composition:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Frozen):
     """Weakly decreasing sequence of positive parts."""
 
-    parts: tuple
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
-            raise ValueError(f"partition parts must be positive integers: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"partition parts must be weakly decreasing: {self.parts}")
+    def __init__(self, parts: tuple):
+        parts = tuple(parts)
+        if any(not isinstance(p, int) or p < 1 for p in parts):
+            raise ValueError(f"partition parts must be positive integers: {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @property
     def n(self) -> int:
@@ -352,15 +423,23 @@ def rearrangements(lam: Partition):
     return [Composition(p) for p in seen]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    images: tuple
+class Permutation(_Frozen):
+    __slots__ = _fields = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple):
+        images = tuple(images)
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.images)
 
     @property
     def n(self) -> int:

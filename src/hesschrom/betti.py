@@ -24,38 +24,57 @@ to right.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .base import (
     DEFAULT_MAX_N,
     Partition,
     TPoly,
+    _Frozen,
     check_bound,
     is_palindromic,
 )
 from .hessenberg import HessenbergFunction, weight
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Frozen):
     """A bijective filling of the Young diagram of ``shape`` with 1..n."""
 
-    shape: Partition
-    rows: tuple  # tuple of tuples, top row first
+    __slots__ = _fields = ("shape", "rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if tuple(len(r) for r in self.rows) != self.shape.parts:
+    def __init__(self, shape: Partition, rows: tuple):
+        rows = tuple(tuple(r) for r in rows)  # top row first
+        if tuple(len(r) for r in rows) != shape.parts:
             raise ValueError("rows do not match the shape")
-        entries = sorted(v for r in self.rows for v in r)
-        if entries != list(range(1, self.shape.n + 1)):
+        entries = sorted(v for r in rows for v in r)
+        if entries != list(range(1, shape.n + 1)):
             raise ValueError("entries must be a permutation of 1..n")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.shape == other.shape and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.shape, self.rows))
 
 
-@dataclass(frozen=True)
-class BettiVector:
-    values: tuple  # pairs (2d, count), increasing degree
-    weight: int
+class BettiVector(_Frozen):
+    __slots__ = _fields = ("values", "weight")
+
+    def __init__(self, values: tuple, weight: int):
+        # values: pairs (2d, count), increasing degree
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.values == other.values and self.weight == other.weight
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.values, self.weight))
 
     def as_dict(self):
         return dict(self.values)

@@ -10,7 +10,6 @@ its consistency is pinned by the two independent combinatorial routes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,6 +18,7 @@ from .base import (
     Partition,
     Permutation,
     Report,
+    _Frozen,
     check_bound,
     partitions,
     z_of,
@@ -40,10 +40,21 @@ def _as_int(value, context: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    n: int
-    values: tuple  # pairs (Partition cycle type, integer), reverse-lex order
+class ClassFunction(_Frozen):
+    __slots__ = _fields = ("n", "values")
+
+    def __init__(self, n: int, values: tuple):
+        # values: pairs (Partition cycle type, integer), reverse-lex order
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.values == other.values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.values))
 
     def as_dict(self):
         return dict(self.values)

@@ -5,9 +5,8 @@ digraph complementation, and exhaustive enumeration."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .base import DEFAULT_MAX_N, check_bound
+from .base import DEFAULT_MAX_N, _Frozen, check_bound
 
 
 class HessenbergValidationError(ValueError):
@@ -18,29 +17,47 @@ class HessenbergValidationError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertices: frozenset
-    edges: frozenset  # frozensets of size 2
+class Graph(_Frozen):
+    __slots__ = _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        for e in self.edges:
-            if len(e) != 2 or not e <= self.vertices:
+    def __init__(self, vertices: frozenset, edges: frozenset):
+        # edges: frozensets of size 2
+        for e in edges:
+            if len(e) != 2 or not e <= vertices:
                 raise ValueError(f"bad edge {set(e)}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices and self.edges == other.edges
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     def has_edge(self, u, v) -> bool:
         return frozenset((u, v)) in self.edges
 
 
-@dataclass(frozen=True)
-class Digraph:
-    vertices: frozenset
-    edges: frozenset  # ordered pairs (u, v), u != v
+class Digraph(_Frozen):
+    __slots__ = _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        for u, v in self.edges:
-            if u == v or u not in self.vertices or v not in self.vertices:
+    def __init__(self, vertices: frozenset, edges: frozenset):
+        # edges: ordered pairs (u, v), u != v
+        for u, v in edges:
+            if u == v or u not in vertices or v not in vertices:
                 raise ValueError(f"bad directed edge {(u, v)}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vertices == other.vertices and self.edges == other.edges
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     def has_edge(self, u, v) -> bool:
         return (u, v) in self.edges
@@ -55,31 +72,39 @@ def complement(d: Digraph) -> Digraph:
     return Digraph(d.vertices, edges)
 
 
-@dataclass(frozen=True)
-class HessenbergFunction:
+class HessenbergFunction(_Frozen):
     """m = (m_1, ..., m_{n-1}), weakly increasing with i <= m_i <= n.
 
     The convention m_n = n is implicit and exposed through m_at.
     """
 
-    n: int
-    m: tuple
+    __slots__ = _fields = ("n", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(self.m))
-        if self.n < 1 or len(self.m) != self.n - 1:
+    def __init__(self, n: int, m: tuple):
+        m = tuple(m)
+        if n < 1 or len(m) != n - 1:
             raise HessenbergValidationError(
-                0, f"need exactly n-1={self.n - 1} values, got {len(self.m)}"
+                0, f"need exactly n-1={n - 1} values, got {len(m)}"
             )
-        for i, v in enumerate(self.m, start=1):
+        for i, v in enumerate(m, start=1):
             if v < i:
                 raise HessenbergValidationError(i, f"m_{i}={v} violates m_i >= i")
-            if v > self.n:
-                raise HessenbergValidationError(i, f"m_{i}={v} exceeds n={self.n}")
-            if i > 1 and v < self.m[i - 2]:
+            if v > n:
+                raise HessenbergValidationError(i, f"m_{i}={v} exceeds n={n}")
+            if i > 1 and v < m[i - 2]:
                 raise HessenbergValidationError(
                     i, f"m_{i}={v} breaks weak monotonicity"
                 )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.m == other.m
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.m))
 
     def m_at(self, i: int) -> int:
         if i == self.n:

@@ -19,20 +19,28 @@ Xi_{D(m)} = X_{G(m)} compares two independent computations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .base import Composition, DEFAULT_MAX_N, Report, TPoly, check_bound
+from .base import Composition, DEFAULT_MAX_N, Report, TPoly, _Frozen, check_bound
 from .hessenberg import Digraph, HessenbergFunction, complement, digraph
 from .qsym import QSymElement, omega
 
 
-@dataclass(frozen=True)
-class OrderedPathCover:
+class OrderedPathCover(_Frozen):
     """A sequencing q of V(D) cut by a composition beta into consecutive
     directed paths of D."""
 
-    q: tuple
-    beta: Composition
+    __slots__ = _fields = ("q", "beta")
+
+    def __init__(self, q: tuple, beta: Composition):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.q == other.q and self.beta == other.beta
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.q, self.beta))
 
 
 def _paths_from(v, remaining, d: Digraph):

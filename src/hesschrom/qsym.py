@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -366,6 +365,8 @@ def _transition_matrix(n: int, target: str):
 
 def _solve_exact(matrix, rhs):
     """Gaussian elimination with Fraction pivots; rhs entries are TPoly."""
+    from fractions import Fraction  # only here, so m- and M-basis requests skip it
+
     k = len(matrix)
     a = [[Fraction(matrix[i][j]) for j in range(k)] for i in range(k)]
     b = list(rhs)

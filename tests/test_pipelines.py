@@ -24,26 +24,33 @@ PACKAGE = Path(hesschrom.__file__).parent
 QSYM_PIPELINE = ("chromatic", "qsym", "pathqsym", "character")
 
 
-def imported_modules(path, module_level=False):
-    """The hesschrom modules a source file imports: anywhere in it, or
+def imported_names(path, module_level=False):
+    """The absolute dotted names a source file imports: anywhere in it, or
     with ``module_level`` only in its top-level import statements (not
     inside functions or ``if TYPE_CHECKING:``)."""
     tree = ast.parse(path.read_text())
     out = set()
     for node in tree.body if module_level else ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            out.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = "hesschrom" if node.level == 1 else (node.module or "")
             if node.level == 1 and node.module:
                 base += "." + node.module
-            names = [base] if "." in base else [f"{base}.{a.name}" for a in node.names]
-        else:
-            continue
-        for name in names:
-            parts = name.split(".")
-            if parts[0] == "hesschrom" and len(parts) > 1:
-                out.add(parts[1])
+            if "." in base:
+                out.add(base)
+            else:
+                out.update(f"{base}.{a.name}" for a in node.names)
+    return out
+
+
+def imported_modules(path, module_level=False):
+    """The hesschrom modules among ``imported_names``, by short name."""
+    out = set()
+    for name in imported_names(path, module_level):
+        parts = name.split(".")
+        if parts[0] == "hesschrom" and len(parts) > 1:
+            out.add(parts[1])
     return out
 
 
@@ -74,6 +81,20 @@ def test_every_import_form_is_seen(tmp_path):
     assert imported_modules(probe, module_level=True) == {
         "betti", "qsym", "chromatic", "hessenberg", "pathqsym"
     }
+    assert {name.split(".")[0] for name in imported_names(probe)} == {"itertools", "hesschrom"}
+
+
+def test_no_module_imports_dataclasses():
+    """Value types are hand-written and slotted: importing ``dataclasses``
+    (and the ``inspect`` it loads) would cost every cold request."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tops = {name.split(".")[0] for name in imported_names(path)}
+        assert "dataclasses" not in tops, path.name
+
+
+def test_base_does_not_import_fractions():
+    """Only a basis solve makes a Fraction; ``base`` is imported by all."""
+    assert not {n for n in imported_names(PACKAGE / "base.py") if n.split(".")[0] == "fractions"}
 
 
 def test_chromatic_and_pathqsym_do_not_import_each_other():
@@ -93,8 +114,9 @@ def test_cli_imports_only_base_and_hessenberg_at_module_level():
 
 
 def modules_after(argv):
-    """The hesschrom modules in ``sys.modules`` after one CLI request,
-    run as ``python -m hesschrom.cli`` is, in a fresh process."""
+    """The modules in ``sys.modules`` after one CLI request, run as
+    ``python -m hesschrom.cli`` is, in a fresh process: the hesschrom
+    modules by short name, and every other module by full name."""
     code = (
         "import runpy, sys\n"
         "sys.argv[0] = 'hesschrom'\n"
@@ -102,18 +124,22 @@ def modules_after(argv):
         "    runpy.run_module('hesschrom.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print(*sorted(name for name in sys.modules if name.startswith('hesschrom.')),"
-        " file=sys.stderr)\n"
+        "print(*sorted(sys.modules), file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent)] + sys.path))
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("hesschrom.") for name in proc.stderr.split()}
+    loaded = proc.stderr.split()
+    package = {name.removeprefix("hesschrom.") for name in loaded if name.startswith("hesschrom.")}
+    return package, {name for name in loaded if name.split(".")[0] != "hesschrom"}
 
 
 TABLEAU_ONLY = {"chromatic", "qsym", "pathqsym", "character", "verify", "_exports"}
+# Standard-library modules no request needs: the value types are not
+# dataclasses, and only a basis solve or a character makes a Fraction.
+NOT_NEEDED = {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize(
@@ -131,10 +157,25 @@ TABLEAU_ONLY = {"chromatic", "qsym", "pathqsym", "character", "verify", "_export
             {"chromatic", "qsym"},
             {"pathqsym", "betti", "verify", "_exports"},
         ),
+        (
+            ["omega-xg", "--m", "2,3,3", "--basis", "m"],
+            {"chromatic", "qsym"},
+            {"pathqsym", "betti", "verify", "_exports"},
+        ),
     ],
-    ids=["betti", "enumerate", "xi", "xg"],
+    ids=["betti", "enumerate", "xi", "xg", "omega-xg"],
 )
 def test_cli_request_imports_only_its_pipeline(argv, used, unused):
-    loaded = modules_after(argv)
+    loaded, stdlib = modules_after(argv)
     assert {"base", "hessenberg"} | used <= loaded
     assert not loaded & unused, sorted(loaded & unused)
+    assert not stdlib & NOT_NEEDED, sorted(stdlib & NOT_NEEDED)
+
+
+def test_basis_solve_loads_fractions():
+    """The other side of ``NOT_NEEDED``: an e-basis request solves and
+    needs ``fractions``, so the subprocess check sees stdlib modules."""
+    loaded, stdlib = modules_after(["xg", "--m", "2,3,3", "--basis", "e"])
+    assert "qsym" in loaded
+    assert {"fractions", "decimal"} <= stdlib
+    assert not stdlib & {"dataclasses", "inspect"}
