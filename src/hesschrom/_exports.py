@@ -76,6 +76,7 @@ from .qsym import (
     generator,
     is_symmetric,
     kostka,
+    kostka_bruteforce,
     m_to_f,
     omega,
     quasi_shuffle,

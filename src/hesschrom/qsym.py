@@ -7,6 +7,15 @@ The omega involution on the M basis is implemented with the sign
 (-1)^(n - length(beta)), which is the one forced by omega F_alpha =
 F_{complement(alpha)} together with omega e = h; see the calibration
 suite.
+
+The change of basis between m and e, h, p or s goes through one matrix
+per (n, basis), ``_transition_matrix``, built on partitions alone and
+cached as tuples: Kostka numbers by adding horizontal strips (Pieri),
+h and e as sums of products of two Kostka columns, p by a memoised count
+of the merges of one partition's parts into another's.
+``expand_in_basis`` solves against it and ``contract_to_m`` multiplies
+by it. The M-basis route, ``generator`` built from ``quasi_shuffle``
+and ``kostka_bruteforce``, is kept as the oracle for every column.
 """
 
 from __future__ import annotations
@@ -280,8 +289,9 @@ def m_partition_to_qsym(lam: Partition) -> QSymElement:
 
 
 @lru_cache(maxsize=None)
-def kostka(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard Young tableaux of shape lam and content mu."""
+def kostka_bruteforce(lam: Partition, mu: Partition) -> int:
+    """Number of semistandard Young tableaux of shape lam and content mu,
+    by filling the cells one at a time; the oracle for ``kostka``."""
     if lam.n != mu.n:
         raise DegreeMismatchError("shape and content must have the same size")
     shape = lam.parts
@@ -326,7 +336,8 @@ def _one_part_generator(kind: str, k: int) -> QSymElement:
 
 @lru_cache(maxsize=None)
 def generator(kind: str, lam: Partition) -> QSymElement:
-    """e/h/p/s_lambda expanded in the M basis.
+    """e/h/p/s_lambda expanded in the M basis; the oracle for the columns
+    of ``_transition_matrix``.
 
     e, h, p are quasi-shuffle products of their one-row pieces; s_lambda
     is the Kostka expansion over semistandard tableaux.
@@ -334,7 +345,7 @@ def generator(kind: str, lam: Partition) -> QSymElement:
     if kind == "s":
         terms = {}
         for mu in partitions(lam.n):
-            k = kostka(lam, mu)
+            k = kostka_bruteforce(lam, mu)
             if k:
                 terms.update(dict.fromkeys(m_partition_to_qsym(mu).terms, k))
         return QSymElement(lam.n, "M", terms)
@@ -346,21 +357,89 @@ def generator(kind: str, lam: Partition) -> QSymElement:
     return out
 
 
+def _add_strip(shape: tuple, r: int):
+    """Shapes made by adding r cells to shape, at most one per column: row
+    i may grow up to the old length of row i - 1."""
+    rows = shape + (0,)
+
+    def rec(i, left, grown):
+        if i == len(rows):
+            if not left:
+                yield grown[:-1] if grown[-1] == 0 else grown
+            return
+        room = rows[i - 1] - rows[i] if i else left
+        for a in range(min(room, left), -1, -1):
+            yield from rec(i + 1, left - a, grown + (rows[i] + a,))
+
+    return rec(0, r, ())
+
+
+@lru_cache(maxsize=None)
+def _kostka_column(content: tuple) -> Mapping:
+    """shape -> K_{shape, content}, the Schur expansion of h_content, one
+    horizontal strip per part (Pieri); content prefixes share the cache."""
+    if not content:
+        return MappingProxyType({(): 1})
+    out = {}
+    for shape, k in _kostka_column(content[:-1]).items():
+        for grown in _add_strip(shape, content[-1]):
+            out[grown] = out.get(grown, 0) + k
+    return MappingProxyType(out)
+
+
+def kostka(lam: Partition, mu: Partition) -> int:
+    """Number of semistandard Young tableaux of shape lam and content mu."""
+    if lam.n != mu.n:
+        raise DegreeMismatchError("shape and content must have the same size")
+    return _kostka_column(mu.parts).get(lam.parts, 0)
+
+
+@lru_cache(maxsize=None)
+def _merges(parts: tuple, slots: tuple) -> int:
+    """Maps sending each of the parts to one of the slots so that every
+    slot receives exactly its size: [m_slots] p_parts. Slots are kept in
+    descending order, as the count does not depend on their order."""
+    if not parts:
+        return 1
+    first, rest = parts[0], parts[1:]
+    total = 0
+    for size in set(slots):
+        if size >= first:
+            left = list(slots)
+            left.remove(size)
+            if size > first:
+                left.append(size - first)
+            total += slots.count(size) * _merges(rest, tuple(sorted(left, reverse=True)))
+    return total
+
+
+def _conjugate(parts: tuple) -> tuple:
+    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0] if parts else 0))
+
+
 @lru_cache(maxsize=None)
 def _transition_matrix(n: int, target: str):
-    """Columns: generator(target, lam) in the m basis; rows and columns
-    are indexed by partitions of n in reverse lexicographic order."""
-    parts = list(partitions(n))
-    index = {lam: i for i, lam in enumerate(parts)}
-    cols = []
-    for lam in parts:
-        g = to_m_basis(generator(target, lam))
-        col = [0] * len(parts)
-        for mu, c in g.terms.items():
-            col[index[mu]] = c.coeff(0)
-        cols.append(col)
-    matrix = [[cols[j][i] for j in range(len(parts))] for i in range(len(parts))]
-    return parts, matrix
+    """(partitions of n in reverse lexicographic order, matrix), with
+    matrix[i][j] = [m_{lam_i}] target_{lam_j}, all as tuples.
+
+    s is the Kostka matrix; h_mu = sum_lam K_{lam,mu} s_lam and
+    e_mu = sum_lam K_{lam',mu} s_lam multiply two of its columns; p counts
+    the merges of lam_j's parts into lam_i's.
+    """
+    if target not in ("e", "h", "p", "s"):
+        raise ValueError(f"no transition matrix to the {target!r} basis")
+    parts = tuple(partitions(n))
+    keys = [lam.parts for lam in parts]
+    if target == "p":
+        return parts, tuple(tuple(_merges(lam, mu) for lam in keys) for mu in keys)
+    col = {mu: _kostka_column(mu) for mu in keys}
+    if target == "s":
+        return parts, tuple(tuple(col[mu].get(lam, 0) for lam in keys) for mu in keys)
+    flip = {nu: _conjugate(nu) if target == "e" else nu for nu in keys}
+    return parts, tuple(
+        tuple(sum(k * col[lam].get(flip[nu], 0) for nu, k in col[mu].items()) for lam in keys)
+        for mu in keys
+    )
 
 
 def _solve_exact(matrix, rhs):
@@ -387,8 +466,10 @@ def _solve_exact(matrix, rhs):
 
 def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
     """Rewrite an m-basis element exactly in the e, h, p or s basis."""
+    if target not in SYM_BASES:
+        raise ValueError(f"expand_in_basis: unknown target basis {target!r}")
     if x.basis != "m":
-        raise ValueError("expand_in_basis expects an m-basis input")
+        raise ValueError(f"expand_in_basis expects an m-basis input, not {x.basis!r}")
     if target == "m":
         return x
     parts, matrix = _transition_matrix(x.n, target)
@@ -398,11 +479,17 @@ def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
 
 
 def contract_to_m(x: QSymElement) -> QSymElement:
-    """Inverse of expand_in_basis: rewrite any basis back into m."""
+    """Inverse of expand_in_basis: rewrite any symmetric basis back into m,
+    one pass over the cached columns of the transition matrix."""
+    if x.basis not in SYM_BASES:
+        raise ValueError(f"contract_to_m expects a symmetric basis, not {x.basis!r}")
     if x.basis == "m":
         return x
+    parts, matrix = _transition_matrix(x.n, x.basis)
     acc = {}
     for lam, c in x.terms.items():
-        for mu, v in to_m_basis(generator(x.basis, lam)).terms.items():
-            _add_scaled(acc, mu, v * c)
+        j = parts.index(lam)
+        for mu, row in zip(parts, matrix):
+            if row[j]:
+                _add_scaled(acc, mu, c, row[j])
     return _freeze(x.n, "m", acc)

@@ -26,9 +26,9 @@ PUBLIC = [
     "dot_character", "e_positivity_report", "enumerate_hessenberg",
     "expand_in_basis", "f_to_m", "fixed_space_dims", "frobenius_image",
     "generator", "incomparability_graph", "irreducible_multiplicities",
-    "is_palindromic", "is_symmetric", "kostka", "m_to_f", "new_hessenberg",
-    "omega", "omega_x_of", "ordered_path_covers", "partitions", "path_qsym",
-    "path_qsym_bruteforce", "poset_relation", "quasi_shuffle",
+    "is_palindromic", "is_symmetric", "kostka", "kostka_bruteforce", "m_to_f",
+    "new_hessenberg", "omega", "omega_x_of", "ordered_path_covers", "partitions",
+    "path_qsym", "path_qsym_bruteforce", "poset_relation", "quasi_shuffle",
     "schur_positivity_report", "stable_ordered_partitions", "staircase",
     "sw_inversions_of_cover", "sw_to_t_bijection", "t_inversions_of_cover",
     "to_m_basis", "unified_dimension", "verify_reciprocity", "verify_sw_betti",

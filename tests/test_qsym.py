@@ -1,10 +1,14 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hesschrom import qsym
 from hesschrom.base import Composition, Partition, TPoly, compositions, partitions
+from hesschrom.cli import run
 from hesschrom.qsym import (
     NotSymmetricError,
     QSymElement,
@@ -15,6 +19,7 @@ from hesschrom.qsym import (
     generator,
     is_symmetric,
     kostka,
+    kostka_bruteforce,
     m_to_f,
     omega,
     quasi_shuffle,
@@ -210,3 +215,112 @@ class TestExpandInBasis:
             x = to_m_basis(generator("h", lam))
             expanded = expand_in_basis(x, target)
             assert contract_to_m(expanded) == x
+
+
+class TestTransitionMatrix:
+    """The partition-space matrices against the M-basis route they
+    replaced, which stays as the oracle."""
+
+    @pytest.mark.parametrize("target", ["e", "h", "p", "s"])
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_columns_match_generators(self, target, n):
+        parts, matrix = qsym._transition_matrix(n, target)
+        assert parts == tuple(partitions(n))
+        for j, lam in enumerate(parts):
+            column = to_m_basis(generator(target, lam))
+            assert [row[j] for row in matrix] == [column.coeff(mu).coeff(0) for mu in parts]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kostka_matches_bruteforce(self, n):
+        for lam in partitions(n):
+            for mu in partitions(n):
+                assert kostka(lam, mu) == kostka_bruteforce(lam, mu)
+
+    @pytest.mark.parametrize("target", ["e", "h", "p", "s"])
+    def test_cached_value_is_immutable(self, target):
+        parts, matrix = qsym._transition_matrix(4, target)
+        assert type(parts) is tuple and type(matrix) is tuple
+        assert all(type(row) is tuple for row in matrix)
+        assert all(type(v) is int for row in matrix for v in row)
+
+    def test_frontier_n10(self):
+        # p(10) = 42 partitions; each matrix is built cold here
+        for target in ("e", "h", "p", "s"):
+            parts, matrix = qsym._transition_matrix(10, target)
+            assert len(parts) == len(matrix) == 42
+        assert qsym._transition_matrix(10, "s")[1][41][0] == 1  # K_{(10), 1^10}
+        assert qsym._transition_matrix(10, "h")[1][41][41] == 3628800  # 10!
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_n5.json").read_text())
+
+
+class TestNoMBasisRoute:
+    """Expansions and contractions build their matrices in partition
+    space: they still work with the M-basis generators disabled."""
+
+    @pytest.fixture
+    def m_route_off(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the M-basis route was called")
+
+        for name in ("generator", "quasi_shuffle", "kostka_bruteforce"):
+            monkeypatch.setattr(qsym, name, refuse)
+        qsym._transition_matrix.cache_clear()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_round_trip(self, m_route_off, n):
+        for target in ("e", "h", "p", "s"):
+            for lam in partitions(n):
+                x = SymElement(n, target, {lam: TPoly({0: 2, 1: Fraction(-1, 3)})})
+                assert expand_in_basis(contract_to_m(x), target) == x
+
+    @pytest.mark.parametrize("m", ["1,2,3,4", "3,4,5,5", "5,5,5,5"])
+    def test_cli_golden(self, m_route_off, capsys, m):
+        for basis in ("e", "h", "p", "s"):
+            argv = ["xg", "--m", m, "--basis", basis, "--json"]
+            assert run(argv) == 0
+            assert capsys.readouterr().out == GOLDEN[" ".join(argv)]
+
+
+class TestBasisValidation:
+    """The basis is checked before any term is read."""
+
+    class Unread:
+        def __init__(self, basis):
+            self.n, self.basis = 3, basis
+
+        @property
+        def terms(self):
+            raise AssertionError("terms read before the basis was checked")
+
+    @pytest.mark.parametrize("basis", ["M", "F"])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_contract_to_m_rejects_quasisymmetric(self, basis, empty):
+        x = QSymElement(3, basis) if empty else QSymElement.monomial(Composition((1, 2)), basis)
+        with pytest.raises(ValueError, match=f"contract_to_m .*'{basis}'"):
+            contract_to_m(x)
+
+    @pytest.mark.parametrize("basis", ["M", "F", "q"])
+    def test_contract_to_m_checks_first(self, basis):
+        with pytest.raises(ValueError, match=f"contract_to_m .*'{basis}'"):
+            contract_to_m(self.Unread(basis))
+
+    @pytest.mark.parametrize("target", ["M", "F", "q"])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_expand_in_basis_rejects_target(self, target, empty):
+        x = QSymElement(3, "m", None if empty else {Partition((2, 1)): 1})
+        with pytest.raises(ValueError, match=f"expand_in_basis: .*'{target}'"):
+            expand_in_basis(x, target)
+        with pytest.raises(ValueError, match=f"expand_in_basis: .*'{target}'"):
+            expand_in_basis(self.Unread("m"), target)
+
+    @pytest.mark.parametrize("basis", ["M", "F"])
+    def test_expand_in_basis_rejects_input_basis(self, basis):
+        with pytest.raises(ValueError, match=f"expand_in_basis .*'{basis}'"):
+            expand_in_basis(self.Unread(basis), "e")
+
+    @pytest.mark.parametrize("target", ["M", "F", "m", "q"])
+    def test_no_transition_matrix(self, target):
+        with pytest.raises(ValueError, match=f"'{target}'"):
+            qsym._transition_matrix(3, target)
