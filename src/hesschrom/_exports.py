@@ -70,7 +70,6 @@ from .pathqsym import (
 from .qsym import (
     NotSymmetricError,
     QSymElement,
-    SymElement,
     expand_in_basis,
     f_to_m,
     generator,

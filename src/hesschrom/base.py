@@ -7,8 +7,11 @@ arithmetic is exact (arbitrary-precision integers; fractions appear only
 transiently inside basis solves).
 
 Value types, here and in the other modules, are hand-written slotted
-classes (the immutable ones on the private ``_Frozen`` base below), each
-with its own ``__eq__`` and ``__hash__``.  No module of the package
+classes on the private ``_Frozen`` base below, which gives every one of
+them its equality, hashing, ``repr`` and copying from its ``_fields``.
+Only ``Composition`` and ``Partition`` write their own ``__eq__`` and
+``__hash__`` (they are the hot dict and lru keys), and ``QSymElement`` its
+own ``__hash__`` (its term map cannot be hashed).  No module of the package
 imports ``dataclasses``, and this one does not import ``fractions``: every
 CLI request is a fresh process that imports this module, and with cached
 bytecode ``dataclasses`` (through the ``inspect`` it loads) cost each cold
@@ -50,13 +53,14 @@ class FrozenInstanceError(AttributeError):
 
 class _Frozen:
     """Base of the immutable value types: slotted, with fields set once in
-    ``__init__`` through ``object.__setattr__`` and never again, a
-    dataclass-style ``repr``, and a ``__reduce__`` that rebuilds through
-    the constructor, so ``pickle`` and ``copy`` work although
-    ``__setattr__`` refuses.  ``_fields`` names the constructor's
-    arguments, in order.  Each subclass writes its own ``__eq__`` and
-    ``__hash__``: partitions and compositions are dict and lru keys on
-    hot paths, where a generic loop over ``_fields`` is six times slower."""
+    ``__init__`` through ``object.__setattr__`` and never again.
+    ``_fields`` names the constructor's arguments, in order, and drives
+    the rest: equality (same class, equal fields), the hash of the tuple
+    of fields, a dataclass-style ``repr``, and a ``__reduce__`` that
+    rebuilds through the constructor, so ``pickle`` and ``copy`` work
+    although ``__setattr__`` refuses.  ``Composition`` and ``Partition``
+    keep their own ``__eq__`` and ``__hash__``: they are dict and lru keys
+    on hot paths, where the loop over ``_fields`` is six times slower."""
 
     __slots__ = ()
     _fields = ()
@@ -66,6 +70,14 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -77,10 +89,14 @@ class _Frozen:
 
 class Report:
     """The result of a check: how many comparisons it made and a record of
-    each one that failed.  Per-input checks and whole suites share it."""
+    each one that failed.  Per-input checks and whole suites share it.
+    Mutable and unhashable, with ``_Frozen``'s field-driven ``repr`` and
+    equality."""
 
-    __slots__ = ("suite", "checked", "failures", "elapsed_ms")
+    __slots__ = _fields = ("suite", "checked", "failures", "elapsed_ms")
     __hash__ = None
+    __repr__ = _Frozen.__repr__
+    __eq__ = _Frozen.__eq__
 
     def __init__(self, suite: str, checked: int = 0, failures: list = None,
                  elapsed_ms: int = 0):
@@ -88,16 +104,6 @@ class Report:
         self.checked = checked
         self.failures = [] if failures is None else failures
         self.elapsed_ms = elapsed_ms
-
-    def __repr__(self):
-        return (f"Report(suite={self.suite!r}, checked={self.checked!r}, "
-                f"failures={self.failures!r}, elapsed_ms={self.elapsed_ms!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.suite, self.checked, self.failures, self.elapsed_ms) == (
-                other.suite, other.checked, other.failures, other.elapsed_ms)
-        return NotImplemented
 
     @property
     def ok(self) -> bool:
@@ -119,12 +125,7 @@ class Report:
             self.failures.append(f)
 
     def to_json(self):
-        return {
-            "suite": self.suite,
-            "checked": self.checked,
-            "failures": self.failures,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return {f: getattr(self, f) for f in self._fields}
 
 
 class TPoly:
@@ -432,14 +433,6 @@ class Permutation(_Frozen):
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.images)
 
     @property
     def n(self) -> int:

@@ -51,14 +51,6 @@ class Tableau(_Frozen):
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.shape == other.shape and self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
-
 
 class BettiVector(_Frozen):
     __slots__ = _fields = ("values", "weight")
@@ -67,14 +59,6 @@ class BettiVector(_Frozen):
         # values: pairs (2d, count), increasing degree
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weight", weight)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.values == other.values and self.weight == other.weight
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.values, self.weight))
 
     def as_dict(self):
         return dict(self.values)

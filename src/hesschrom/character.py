@@ -48,14 +48,6 @@ class ClassFunction(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.values))
-
     def as_dict(self):
         return dict(self.values)
 

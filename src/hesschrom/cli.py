@@ -186,6 +186,9 @@ def build_parser(suites=()) -> argparse.ArgumentParser:
     guarded.add_argument("--force", action="store_true", help="override the guard")
     with_stat = argparse.ArgumentParser(add_help=False, parents=[guarded])
     with_stat.add_argument("--stat", choices=("asc", "des"), default="asc")
+    of_m = argparse.ArgumentParser(add_help=False)
+    of_m.add_argument("--n", type=int)
+    of_m.add_argument("--m", required=True, help="comma-separated m_1,...,m_{n-1}")
 
     parser = argparse.ArgumentParser(
         prog="hesschrom",
@@ -194,32 +197,22 @@ def build_parser(suites=()) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("xg", parents=[with_stat], help="chromatic quasisymmetric function of G(m)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", required=True, help="comma-separated m_1,...,m_{n-1}")
-    p.add_argument("--basis", choices=("m", "M", "e", "h", "p", "s"), default="m")
-    p.set_defaults(fn=_cmd_xg)
-
-    p = sub.add_parser("omega-xg", parents=[with_stat], help="omega X_{G(m)}(t)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", required=True)
-    p.add_argument("--basis", choices=("m", "M", "e", "h", "p", "s"), default="m")
-    p.set_defaults(fn=_cmd_xg)
+    for name, help_text in (("xg", "chromatic quasisymmetric function of G(m)"),
+                            ("omega-xg", "omega X_{G(m)}(t)")):
+        p = sub.add_parser(name, parents=[with_stat, of_m], help=help_text)
+        p.add_argument("--basis", choices=("m", "M", "e", "h", "p", "s"), default="m")
+        p.set_defaults(fn=_cmd_xg)
 
     p = sub.add_parser("xi", parents=[with_stat], help="path quasisymmetric function of a digraph")
     p.add_argument("--edges", default="", help="directed edges like 1>2,2>1")
     p.add_argument("--vertices", default="", help="extra isolated vertices, like 1,2,3")
     p.set_defaults(fn=_cmd_xi)
 
-    p = sub.add_parser("betti", parents=[guarded], help="Betti numbers of a regular Hessenberg variety")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", required=True)
+    p = sub.add_parser("betti", parents=[guarded, of_m], help="Betti numbers of a regular Hessenberg variety")
     p.add_argument("--lambda", dest="lam", required=True, help="Jordan type, like 2,1")
     p.set_defaults(fn=_cmd_betti)
 
-    p = sub.add_parser("character", parents=[guarded], help="dot-action character values")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", required=True)
+    p = sub.add_parser("character", parents=[guarded, of_m], help="dot-action character values")
     p.add_argument("--d", type=int, required=True, help="cohomological degree d (of H^{2d})")
     p.set_defaults(fn=_cmd_character)
 

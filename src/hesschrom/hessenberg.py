@@ -28,14 +28,6 @@ class Graph(_Frozen):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.vertices == other.vertices and self.edges == other.edges
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
     def has_edge(self, u, v) -> bool:
         return frozenset((u, v)) in self.edges
 
@@ -50,14 +42,6 @@ class Digraph(_Frozen):
                 raise ValueError(f"bad directed edge {(u, v)}")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.vertices == other.vertices and self.edges == other.edges
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     def has_edge(self, u, v) -> bool:
         return (u, v) in self.edges
@@ -97,14 +81,6 @@ class HessenbergFunction(_Frozen):
                 )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.m == other.m
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.m))
 
     def m_at(self, i: int) -> int:
         if i == self.n:

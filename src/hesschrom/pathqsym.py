@@ -34,14 +34,6 @@ class OrderedPathCover(_Frozen):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "beta", beta)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.q == other.q and self.beta == other.beta
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q, self.beta))
-
 
 def _paths_from(v, remaining, d: Digraph):
     """Directed paths in d starting at v using only ``remaining`` vertices."""

@@ -30,6 +30,7 @@ from .base import (
     DegreeMismatchError,
     Partition,
     TPoly,
+    _Frozen,
     compositions,
     partitions,
     rearrangements,
@@ -71,17 +72,20 @@ QSYM_BASES = ("M", "F")
 SYM_BASES = ("m", "e", "h", "p", "s")
 
 
-class QSymElement:
+class QSymElement(_Frozen):
     """Immutable finite map from keys of degree n to TPoly, tagged with a
     basis: compositions for the quasisymmetric bases M and F, partitions
     for the symmetric bases m, e, h, p and s (a symmetric function is a
     quasisymmetric one read in another basis).
 
     Elements are shared through lru caches, so ``terms`` is a read-only
-    mapping and no attribute can be assigned after construction.
+    mapping and, as for every ``_Frozen`` value, no field can be assigned
+    or deleted after construction.  A read-only mapping can be neither
+    hashed nor pickled, so ``__hash__`` and ``__reduce__`` read it as a
+    frozenset and a dict.
     """
 
-    __slots__ = ("n", "basis", "terms")
+    __slots__ = _fields = ("n", "basis", "terms")
 
     def __init__(self, n: int, basis: str, terms=None):
         if basis not in QSYM_BASES + SYM_BASES:
@@ -103,9 +107,6 @@ class QSymElement:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QSymElement is immutable; cannot set {name!r}")
-
     @classmethod
     def monomial(cls, key, basis: str = "M", coeff=1):
         return cls(key.n, basis, {key: _coerce_poly(coeff)})
@@ -116,17 +117,11 @@ class QSymElement:
     def __bool__(self):
         return bool(self.terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, QSymElement):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
         return hash((self.n, self.basis, frozenset(self.terms.items())))
+
+    def __reduce__(self):
+        return QSymElement, (self.n, self.basis, dict(self.terms))
 
     def __add__(self, other):
         if not isinstance(other, QSymElement):
@@ -164,9 +159,6 @@ class QSymElement:
     def __repr__(self):
         body = " + ".join(f"({c}) {self.basis}{k}" for k, c in self.sorted_terms())
         return body or "0"
-
-
-SymElement = QSymElement
 
 
 def _supersets_of(alpha: Composition):
@@ -269,7 +261,7 @@ def _symmetry_witness(x: QSymElement):
 
 
 def to_m_basis(x: QSymElement) -> QSymElement:
-    """Read a symmetric QSymElement off as a monomial-basis SymElement."""
+    """Read a symmetric QSymElement off in the monomial basis m."""
     if x.basis != "M":
         raise ValueError("to_m_basis expects the M basis")
     witness = _symmetry_witness(x)

@@ -1,7 +1,7 @@
 """Differential tests for the dict-accumulating producers.
 
 Each oracle below is the earlier form of a producer: it sums one
-``QSymElement.monomial`` (or ``SymElement``) term at a time with ``+``,
+``QSymElement.monomial`` term at a time with ``+``,
 which copies the whole term map on every step. The library builds each
 result once from plain dicts; the two must agree term for term.
 """
@@ -24,7 +24,6 @@ from hesschrom.hessenberg import (
 from hesschrom.pathqsym import ordered_path_covers, path_qsym, sequencing_stat
 from hesschrom.qsym import (
     QSymElement,
-    SymElement,
     contract_to_m,
     f_to_m,
     generator,
@@ -109,7 +108,7 @@ def oracle_quasi_shuffle(x, y):
 
 
 def oracle_contract_to_m(x):
-    out = SymElement(x.n, "m")
+    out = QSymElement(x.n, "m")
     for lam, c in x.terms.items():
         out += to_m_basis(generator(x.basis, lam)).scaled(c)
     return out
@@ -199,7 +198,7 @@ def test_symmetric_producers_match_sum_oracles(n):
             schur += QSymElement.monomial(alpha, "M", kostka(lam, alpha.sorted_partition()))
         assert generator("s", lam) == schur
         for basis in ("e", "h", "p", "s"):
-            x = SymElement(n, basis, {lam: TPoly({0: 2, 1: Fraction(-1, 3)})})
+            x = QSymElement(n, basis, {lam: TPoly({0: 2, 1: Fraction(-1, 3)})})
             assert contract_to_m(x) == oracle_contract_to_m(x)
 
 
@@ -208,7 +207,7 @@ def test_frobenius_image_matches_sum_oracle(n):
     for m in enumerate_hessenberg(n):
         for d in range(weight(m) + 1):
             chi = dot_character(m, d)
-            out = SymElement(n, "m")
+            out = QSymElement(n, "m")
             for mu, value in chi.values:
                 out += to_m_basis(generator("p", mu)).scaled(Fraction(value, z_of(mu)))
             assert frobenius_image(chi) == out

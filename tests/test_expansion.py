@@ -1,17 +1,15 @@
 """The one expansion type: every basis, immutable, safe to share through
 the lru caches that hand the same element to every caller."""
 
+import copy
+import pickle
+
 import pytest
 
-import hesschrom
-from hesschrom.base import Composition, DegreeMismatchError, Partition, TPoly
+from hesschrom.base import Composition, DegreeMismatchError, FrozenInstanceError, Partition, TPoly
 from hesschrom.character import omega_x_of, x_of
 from hesschrom.hessenberg import new_hessenberg
 from hesschrom.qsym import QSymElement, generator
-
-
-def test_sym_element_is_the_same_class():
-    assert hesschrom.SymElement is hesschrom.QSymElement
 
 
 @pytest.mark.parametrize("basis", ["M", "F", "m", "e", "h", "p", "s"])
@@ -42,7 +40,20 @@ def test_cached_elements_cannot_be_mutated(cached):
     for name, value in [("n", 4), ("basis", "e"), ("terms", {}), ("extra", 1)]:
         with pytest.raises(AttributeError):
             setattr(x, name, value)
-    assert cached(m) is x and dict(x.terms) == before and x.n == 3
+    for name in QSymElement._fields:
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, name)
+    assert cached(m) is x and dict(x.terms) == before and x.n == 3 and x.basis == "m"
+
+
+@pytest.mark.parametrize("cached", [x_of, omega_x_of])
+def test_cached_elements_copy_and_pickle(cached):
+    x = cached(new_hessenberg(4, (2, 4, 4)))
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is QSymElement
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+        with pytest.raises(TypeError):
+            y.terms[Partition((4,))] = TPoly.const(1)
 
 
 def test_arithmetic_leaves_operands_alone():

@@ -19,7 +19,7 @@ PUBLIC = [
     "BettiVector", "BoundExceededError", "ClassFunction", "Composition",
     "DegreeMismatchError", "Digraph", "Graph", "HessenbergFunction",
     "InvalidCoverError", "NotSymmetricError", "OrderedPathCover", "Partition",
-    "Permutation", "QSymElement", "Report", "SymElement", "TPoly", "Tableau",
+    "Permutation", "QSymElement", "Report", "TPoly", "Tableau",
     "admissible_tableaux", "betti_vector", "betti_vector_bruteforce", "c_coeffs",
     "c_via_path_covers", "cell_dimension", "check_palindromic", "chromatic_qsym",
     "chromatic_qsym_bruteforce", "complement", "compositions", "digraph",

@@ -12,7 +12,6 @@ from hesschrom.cli import run
 from hesschrom.qsym import (
     NotSymmetricError,
     QSymElement,
-    SymElement,
     contract_to_m,
     expand_in_basis,
     f_to_m,
@@ -193,19 +192,19 @@ class TestGenerators:
 
 class TestExpandInBasis:
     def test_h2_in_e_basis(self):
-        x = SymElement(2, "m", {Partition((2,)): TPoly.const(1), Partition((1, 1)): TPoly.const(1)})
+        x = QSymElement(2, "m", {Partition((2,)): TPoly.const(1), Partition((1, 1)): TPoly.const(1)})
         in_e = expand_in_basis(x, "e")
         assert in_e.coeff(Partition((1, 1))) == TPoly.const(1)
         assert in_e.coeff(Partition((2,))) == TPoly.const(-1)
 
     def test_m11_in_p_basis(self):
-        x = SymElement(2, "m", {Partition((1, 1)): TPoly.const(1)})
+        x = QSymElement(2, "m", {Partition((1, 1)): TPoly.const(1)})
         in_p = expand_in_basis(x, "p")
         assert in_p.coeff(Partition((1, 1))) == TPoly.const(Fraction(1, 2))
         assert in_p.coeff(Partition((2,))) == TPoly.const(Fraction(-1, 2))
 
     def test_identity_on_m(self):
-        x = SymElement(3, "m", {Partition((2, 1)): TPoly.t(1)})
+        x = QSymElement(3, "m", {Partition((2, 1)): TPoly.t(1)})
         assert expand_in_basis(x, "m") is x
 
     @pytest.mark.parametrize("target", ["e", "h", "p", "s"])
@@ -272,7 +271,7 @@ class TestNoMBasisRoute:
     def test_round_trip(self, m_route_off, n):
         for target in ("e", "h", "p", "s"):
             for lam in partitions(n):
-                x = SymElement(n, target, {lam: TPoly({0: 2, 1: Fraction(-1, 3)})})
+                x = QSymElement(n, target, {lam: TPoly({0: 2, 1: Fraction(-1, 3)})})
                 assert expand_in_basis(contract_to_m(x), target) == x
 
     @pytest.mark.parametrize("m", ["1,2,3,4", "3,4,5,5", "5,5,5,5"])

@@ -1,6 +1,6 @@
 """The hand-written value types: construction, immutability, equality and
 hashing per class, the pinned dataclass-style ``repr``, and round trips
-through ``pickle`` and ``copy``.
+through ``pickle`` and ``copy``, for every subclass of ``_Frozen``.
 
 Each frozen class rebuilds itself through its constructor on unpickling
 (``_Frozen.__reduce__``), because its ``__setattr__`` refuses every
@@ -8,16 +8,20 @@ assignment; the mutable, slotted ``Report`` round-trips by its slots.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from functools import lru_cache
 
 import pytest
 
-from hesschrom.base import Composition, Partition, Permutation, Report
+import hesschrom
+from hesschrom.base import Composition, Partition, Permutation, Report, TPoly, _Frozen
 from hesschrom.betti import BettiVector, Tableau
 from hesschrom.character import ClassFunction
 from hesschrom.hessenberg import Digraph, Graph, HessenbergFunction
 from hesschrom.pathqsym import OrderedPathCover
+from hesschrom.qsym import QSymElement
 
 V = frozenset({1, 2})
 
@@ -73,7 +77,18 @@ FROZEN = {
         lambda: OrderedPathCover((2, 1, 3), Composition((1, 2))),
         "OrderedPathCover(q=(2, 1, 3), beta=Composition(parts=(2, 1)))",
     ),
+    "QSymElement": (
+        lambda: QSymElement(3, "m", {Partition((2, 1)): TPoly({0: 1, 1: 2})}),
+        lambda: QSymElement(3, "m", {Partition((2, 1)): TPoly({0: 1})}),
+        "(1 + 2*t) m[2,1]",
+    ),
 }
+
+# The hot dict and lru keys keep their own equality and hashing; a read-only
+# term map cannot be hashed.
+OWN_EQ_AND_HASH = {"Composition": {"__eq__", "__hash__"},
+                   "Partition": {"__eq__", "__hash__"},
+                   "QSymElement": {"__hash__"}}
 
 # Instances of different classes whose fields hold equal values.
 SAME_FIELDS = [
@@ -96,8 +111,18 @@ def frozen(request):
 
 
 def test_every_value_class_is_covered():
-    assert len(FROZEN) == 10
-    assert {type(make()).__name__ for make, _, _ in FROZEN.values()} == set(FROZEN)
+    for info in pkgutil.iter_modules(hesschrom.__path__):
+        importlib.import_module(f"hesschrom.{info.name}")
+    classes = _Frozen.__subclasses__()
+    assert {cls.__name__ for cls in classes} == set(FROZEN)
+    assert {type(make()) for make, _, _ in FROZEN.values()} == set(classes)
+
+
+def test_equality_and_hashing_come_from_frozen():
+    for cls in _Frozen.__subclasses__():
+        own = {"__eq__", "__hash__"} & set(vars(cls))
+        assert own == OWN_EQ_AND_HASH.get(cls.__name__, set()), cls
+    assert Report.__eq__ is _Frozen.__eq__ and Report.__repr__ is _Frozen.__repr__
 
 
 def test_frozen_repr_is_the_dataclass_form(frozen):
