@@ -21,6 +21,7 @@ from .betti import (
     admissible_tableaux,
     betti_vector,
     betti_vector_bruteforce,
+    betti_vectors,
     cell_dimension,
     check_palindromic,
     unified_dimension,

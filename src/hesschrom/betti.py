@@ -2,13 +2,19 @@
 varieties: admissible tableaux, cell dimensions, Betti vectors and their
 palindromicity.
 
-``betti_vector`` is a dynamic programme over reading-order prefixes: the
-unified statistic charges each entry k for the entries i with
-k < i <= m_k read before it, so a prefix of the reading word matters only
-through the set of values it holds and its last entry (which admissibility
-tests against the next entry of the same row). ``betti_vector_bruteforce``
-keeps the n! permutation filter (``admissible_tableaux`` and
-``cell_dimension``) as its oracle.
+The Betti numbers come from a dynamic programme over reading-order
+prefixes: the unified statistic charges each entry k for the entries i
+with k < i <= m_k read before it, so a prefix of the reading word matters
+only through the set of values it holds and the values its last entry
+bars from coming next in the same row (admissibility). Read bottom
+row first, a shape's row lengths weakly increase, and the shapes of n form
+a trie of such sequences. ``betti_vectors`` walks the whole trie once:
+shapes that share their lower rows share those rows' prefixes, and an open
+row is extended one cell at a time and closed at every length the trie
+allows, so each length reuses the cells before it. ``betti_vector`` walks
+only the one path of its shape, at the cost of one shape.
+``betti_vector_bruteforce`` keeps the n! permutation filter
+(``admissible_tableaux`` and ``cell_dimension``) as the oracle of both.
 
 This is the tableau pipeline. It imports only ``base`` and
 ``hessenberg``, so its agreement with the qsym pipeline (``chromatic``,
@@ -24,6 +30,7 @@ to right.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
 from .base import (
     DEFAULT_MAX_N,
@@ -32,6 +39,7 @@ from .base import (
     _Frozen,
     check_bound,
     is_palindromic,
+    partitions,
 )
 from .hessenberg import HessenbergFunction, weight
 
@@ -127,9 +135,77 @@ def unified_dimension(t: Tableau, m: HessenbergFunction) -> int:
     return count
 
 
-def _add_shifted(acc: dict, dims: dict, shift: int) -> None:
-    for d, c in dims.items():
-        acc[d + shift] = acc.get(d + shift, 0) + c
+def _walk(m: HessenbergFunction, path=None) -> dict:
+    """Row lengths, bottom row first -> ``BettiVector`` of that shape, for
+    every shape on the trie, or only for the shape whose row lengths are
+    ``path``.
+
+    Placing k right after j in a row needs j <= m_k, so the values barred
+    after j are the k with m_k < j, an initial segment, and the future of
+    a prefix depends only on the values it holds and on those of the
+    barred values not yet placed. A state packs both into one int: the
+    values held (bit k-1 for value k) below bit n, the barred unplaced
+    ones above it; a row starts with none barred. Its value packs
+    sum_d count_d t^d into one int, count_d at bit ``field * d``; no count
+    exceeds n!, so the fields never carry. Placing k shifts the value by
+    the number of placed values in k+1..m_k."""
+    n = m.n
+    cap = [0] + [m.m_at(k) for k in range(1, n + 1)]
+    charged = [0] + [(1 << cap[k]) - (1 << k) for k in range(1, n + 1)]
+    barred = [0] + [
+        sum(1 << (j - 1) for j in range(1, n + 1) if cap[j] < k)
+        for k in range(1, n + 1)
+    ]
+    full = (1 << n) - 1
+    field = factorial(n).bit_length()
+    out = {}
+
+    def grow(closed: dict, rows: tuple, done: int) -> None:
+        # closed: placed -> value, all rows so far closed; the next row is
+        # at least as long as the last one
+        if done == n:
+            out[rows] = closed[full]
+            return
+        if path is None:
+            shortest, longest = (rows[-1] if rows else 1), n - done
+        else:
+            shortest = longest = path[len(rows)]
+        layer = closed
+        for length in range(1, longest + 1):
+            nxt = {}
+            get = nxt.get
+            for state, value in layer.items():
+                placed = state & full
+                free = ~(state | state >> n) & full
+                while free:
+                    low = free & -free
+                    k = low.bit_length()
+                    now = placed | low
+                    key = now | (barred[k] & ~now) << n
+                    step = (placed & charged[k]).bit_count()
+                    nxt[key] = get(key, 0) + (value << field * step)
+                    free ^= low
+            layer = nxt
+            left = n - done - length
+            if length >= shortest and (left == 0 or left >= length):
+                # close the row here: nothing is barred at a row start
+                ends = {}
+                for state, value in layer.items():
+                    ends[state & full] = ends.get(state & full, 0) + value
+                grow(ends, rows + (length,), done + length)
+
+    grow({0: 1}, (), 0)
+    mask = (1 << field) - 1
+    vectors = {}
+    for rows, value in out.items():
+        values, d = [], 0
+        while value:
+            if value & mask:
+                values.append((2 * d, value & mask))
+            value >>= field
+            d += 1
+        vectors[rows[::-1]] = BettiVector(tuple(values), weight(m))
+    return vectors
 
 
 def betti_vector(
@@ -139,38 +215,23 @@ def betti_vector(
     force: bool = False,
 ) -> BettiVector:
     """Count admissible tableaux of shape lam by unified dimension, one
-    reading-order position at a time.
-
-    A state is (placed, last): the bitmask of values read so far (bit k-1
-    for value k) and the last value of the open row, 0 at a row start.
-    Placing k after last needs last <= m_k and adds the number of placed
-    values in k+1..m_k to the dimension."""
+    reading-order position at a time: the one path of lam's row lengths
+    through the walk of ``betti_vectors``."""
     if lam.n != m.n:
         raise ValueError(f"{lam} is not a partition of {m.n}")
     check_bound(m.n, max_n, force)
-    n = m.n
-    cap = [0] + [m.m_at(k) for k in range(1, n + 1)]
-    charged = [0] + [(1 << cap[k]) - (1 << k) for k in range(1, n + 1)]
-    # (placed, last) -> {dimension: number of prefixes}
-    layer = {(0, 0): {0: 1}}
-    for width in reversed(lam.parts):
-        for _ in range(width):
-            nxt = {}
-            for (placed, last), dims in layer.items():
-                for k in range(1, n + 1):
-                    if placed >> (k - 1) & 1 or last > cap[k]:
-                        continue
-                    step = (placed & charged[k]).bit_count()
-                    key = (placed | 1 << (k - 1), k)
-                    _add_shifted(nxt.setdefault(key, {}), dims, step)
-            layer = nxt
-        # a new row starts: forget the last value
-        closed = {}
-        for (placed, _), dims in layer.items():
-            _add_shifted(closed.setdefault((placed, 0), {}), dims, 0)
-        layer = closed
-    (dims,) = layer.values()
-    return BettiVector(tuple(sorted((2 * d, c) for d, c in dims.items())), weight(m))
+    return _walk(m, lam.parts[::-1])[lam.parts]
+
+
+def betti_vectors(
+    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
+) -> dict:
+    """lambda -> ``betti_vector(m, lambda)`` for every partition lambda of
+    n, in reverse lexicographic order, from one walk over the trie of row
+    lengths that shares each open row among every length that closes it."""
+    check_bound(m.n, max_n, force)
+    vectors = _walk(m)
+    return {lam: vectors[lam.parts] for lam in partitions(m.n)}
 
 
 def betti_vector_bruteforce(

@@ -68,9 +68,12 @@ def x_of(m: HessenbergFunction) -> QSymElement:
 
 @lru_cache(maxsize=None)
 def omega_x_of(m: HessenbergFunction) -> QSymElement:
-    """omega X_{G(m)}(t) in the monomial symmetric basis."""
-    x = chromatic_qsym(incomparability_graph(m), "asc", force=True)
-    return to_m_basis(omega(x))
+    """omega X_{G(m)}(t) in the monomial symmetric basis: the cached
+    integer matrix of omega on the m basis of degree n (``omega`` on an
+    m-basis input) times ``x_of(m)``, with no second ``chromatic_qsym``
+    and no M-basis omega over the 3^(n-1) terms of its expansion.
+    ``to_m_basis(omega(chromatic_qsym(...)))`` is the oracle."""
+    return omega(x_of(m))
 
 
 def c_coeffs(m: HessenbergFunction):

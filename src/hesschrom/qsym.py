@@ -199,9 +199,14 @@ def _subsets_of(beta: Composition):
 
 
 def omega(x: QSymElement) -> QSymElement:
-    """The omega involution, on the M basis (F inputs are converted)."""
+    """The omega involution, on the M basis (F inputs are converted); an
+    m-basis input stays in the m basis, through ``_omega_matrix``."""
+    if x.basis == "m":
+        return _apply(x, *_omega_matrix(x.n), "m")
     if x.basis == "F":
         x = f_to_m(x)
+    elif x.basis != "M":
+        raise ValueError(f"omega expects the M, F or m basis, not {x.basis!r}")
     acc = {}
     for beta, c in x.terms.items():
         sign = (-1) ** (x.n - beta.length)
@@ -470,6 +475,18 @@ def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
     return QSymElement(x.n, target, dict(zip(parts, sol)))
 
 
+def _apply(x: QSymElement, parts: tuple, matrix: tuple, basis: str) -> QSymElement:
+    """sum_j x[parts[j]] * (column j of matrix), in ``basis``: one pass
+    over the columns of a cached partition-space matrix."""
+    acc = {}
+    for lam, c in x.terms.items():
+        j = parts.index(lam)
+        for mu, row in zip(parts, matrix):
+            if row[j]:
+                _add_scaled(acc, mu, c, row[j])
+    return _freeze(x.n, basis, acc)
+
+
 def contract_to_m(x: QSymElement) -> QSymElement:
     """Inverse of expand_in_basis: rewrite any symmetric basis back into m,
     one pass over the cached columns of the transition matrix."""
@@ -477,11 +494,17 @@ def contract_to_m(x: QSymElement) -> QSymElement:
         raise ValueError(f"contract_to_m expects a symmetric basis, not {x.basis!r}")
     if x.basis == "m":
         return x
-    parts, matrix = _transition_matrix(x.n, x.basis)
-    acc = {}
-    for lam, c in x.terms.items():
-        j = parts.index(lam)
-        for mu, row in zip(parts, matrix):
-            if row[j]:
-                _add_scaled(acc, mu, c, row[j])
-    return _freeze(x.n, "m", acc)
+    return _apply(x, *_transition_matrix(x.n, x.basis), "m")
+
+
+@lru_cache(maxsize=None)
+def _omega_matrix(n: int):
+    """(partitions of n in reverse lexicographic order, matrix), with
+    matrix[i][j] = [m_{lam_i}] omega(m_{lam_j}), all as tuples: column j
+    is the forgotten symmetric function f_{lam_j} = omega(m_{lam_j}), the
+    M-basis ``omega`` of ``m_partition_to_qsym(lam_j)`` read off by
+    ``to_m_basis``. omega is an involution, so the matrix squares to the
+    identity."""
+    parts = tuple(partitions(n))
+    cols = [to_m_basis(omega(m_partition_to_qsym(lam))) for lam in parts]
+    return parts, tuple(tuple(col.coeff(mu).coeff(0) for col in cols) for mu in parts)

@@ -25,6 +25,7 @@ from .base import DEFAULT_MAX_N, Partition, Report, check_bound, compositions, p
 from .betti import (
     admissible_tableaux,
     betti_vector,
+    betti_vectors,
     cell_dimension,
     unified_dimension,
 )
@@ -70,13 +71,13 @@ def verify_sw_betti(
     the tableau pipeline against the qsym pipeline."""
     check_bound(m.n, max_n, force)
     cc = c_coeffs(m)
+    c_degrees = {}
+    for d, lam in cc:
+        c_degrees.setdefault(lam, set()).add(d)
     report = Report("sw")
-    for lam in partitions(m.n):
-        bv = betti_vector(m, lam, max_n, force).as_dict()
-        degrees = set(d for (d, lm) in cc if lm == lam) | {
-            deg // 2 for deg in bv
-        }
-        for d in sorted(degrees):
+    for lam, bv in betti_vectors(m, max_n, force).items():
+        bv = bv.as_dict()
+        for d in sorted(c_degrees.get(lam, set()) | {deg // 2 for deg in bv}):
             report.checked += 1
             lhs = bv.get(2 * d, 0)
             rhs = cc.get((d, lam), 0)
@@ -204,8 +205,7 @@ def suite_palindromic(report: Report, max_n: int = 6):
     coefficient identity X(t) = t^{|m|} X(1/t)."""
     for m in _all_hessenberg(max_n):
         w = weight(m)
-        for lam in partitions(m.n):
-            bv = betti_vector(m, lam, force=True)
+        for lam, bv in betti_vectors(m, force=True).items():
             q = bv.poincare().shifted(-w)
             report.checked += 1
             if q != q.reciprocal():

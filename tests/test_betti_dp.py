@@ -1,8 +1,11 @@
-"""Differential tests for the reading-order DP behind ``betti_vector``.
+"""Differential tests for the reading-order DP behind ``betti_vector``
+and ``betti_vectors``.
 
 The oracle is ``betti_vector_bruteforce``: filter all n! fillings for
 admissibility and sum Tymoczko's two-case ``cell_dimension``. The DP must
-agree with it exactly, and with two closed forms.
+agree with it exactly, and with two closed forms. The walk over every
+shape at once (``betti_vectors``) must agree with the oracle and with the
+one-shape walk (``betti_vector``).
 """
 
 import math
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesschrom.base import BoundExceededError, Partition, TPoly, partitions
-from hesschrom.betti import betti_vector, betti_vector_bruteforce
+from hesschrom.betti import betti_vector, betti_vector_bruteforce, betti_vectors
 from hesschrom.hessenberg import enumerate_hessenberg, new_hessenberg, staircase
 
 
@@ -24,8 +27,8 @@ def complete(n):
 
 
 @st.composite
-def hessenberg_functions(draw, max_n=6):
-    n = draw(st.integers(1, max_n))
+def hessenberg_functions(draw, max_n=6, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     m, lo = [], 1
     for i in range(1, n):
         lo = draw(st.integers(max(i, lo), n))
@@ -95,3 +98,36 @@ def test_size_guard():
         betti_vector(m, lam)
     assert betti_vector(m, lam, force=True).total() == 1
 
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_all_shapes_match_bruteforce(n):
+    for m in enumerate_hessenberg(n):
+        vectors = betti_vectors(m)
+        assert list(vectors) == list(partitions(n))
+        for lam, bv in vectors.items():
+            assert bv == betti_vector_bruteforce(m, lam), (m, lam)
+
+
+def test_all_shapes_match_one_shape_walks_n7():
+    for m in enumerate_hessenberg(7):
+        vectors = betti_vectors(m)
+        assert list(vectors) == list(partitions(7))
+        for lam, bv in vectors.items():
+            assert bv == betti_vector(m, lam), (m, lam)
+
+
+@settings(max_examples=10, deadline=None)
+@given(hessenberg_functions(max_n=8, min_n=8))
+def test_all_shapes_match_one_shape_walks_n8(m):
+    for lam, bv in betti_vectors(m).items():
+        assert bv == betti_vector(m, lam), lam
+
+
+def test_all_shapes_size_guard():
+    m = staircase(9)
+    with pytest.raises(BoundExceededError):
+        betti_vectors(m)
+    with pytest.raises(BoundExceededError):
+        betti_vectors(new_hessenberg(4, (2, 3, 4)), max_n=3)
+    column = betti_vectors(complete(9), force=True)[Partition((1,) * 9)]
+    assert column.total() == math.factorial(9)

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hesschrom import qsym
 from hesschrom.base import BoundExceededError, Partition, partitions
 from hesschrom.betti import betti_vector
 from hesschrom.character import (
@@ -14,7 +16,15 @@ from hesschrom.character import (
     omega_x_of,
     schur_positivity_report,
 )
-from hesschrom.hessenberg import enumerate_hessenberg, new_hessenberg, staircase, weight
+from hesschrom.chromatic import chromatic_qsym
+from hesschrom.hessenberg import (
+    enumerate_hessenberg,
+    incomparability_graph,
+    new_hessenberg,
+    staircase,
+    weight,
+)
+from hesschrom.qsym import omega, to_m_basis
 
 
 class TestDotCharacter:
@@ -147,3 +157,41 @@ class TestPositivityReports:
         for m in enumerate_hessenberg(n):
             assert e_positivity_report(m).ok
             assert schur_positivity_report(m).ok
+
+
+def omega_x_oracle(m):
+    """omega X_{G(m)} by the M-basis omega over the whole quasisymmetric
+    expansion, the route ``omega_x_of`` replaced."""
+    return to_m_basis(omega(chromatic_qsym(incomparability_graph(m), force=True)))
+
+
+class TestOmegaMatrix:
+    """``omega_x_of`` multiplies ``x_of`` by the cached matrix of omega on
+    the m basis; the M-basis omega stays its oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_omega_x_of_matches_m_basis_omega(self, n):
+        for m in enumerate_hessenberg(n):
+            assert omega_x_of(m) == omega_x_oracle(m), m
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(list(enumerate_hessenberg(8))))
+    def test_omega_x_of_matches_m_basis_omega_n8(self, m):
+        assert omega_x_of(m) == omega_x_oracle(m)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_matrix_is_an_involution(self, n):
+        parts, matrix = qsym._omega_matrix(n)
+        assert parts == tuple(partitions(n))
+        k = len(parts)
+        square = [
+            [sum(matrix[i][j] * matrix[j][l] for j in range(k)) for l in range(k)]
+            for i in range(k)
+        ]
+        assert square == [[int(i == l) for l in range(k)] for i in range(k)]
+
+    def test_cached_value_is_immutable(self):
+        parts, matrix = qsym._omega_matrix(5)
+        assert type(parts) is tuple and type(matrix) is tuple
+        assert all(type(row) is tuple for row in matrix)
+        assert all(type(v) is int for row in matrix for v in row)

@@ -20,7 +20,8 @@ PUBLIC = [
     "DegreeMismatchError", "Digraph", "Graph", "HessenbergFunction",
     "InvalidCoverError", "NotSymmetricError", "OrderedPathCover", "Partition",
     "Permutation", "QSymElement", "Report", "TPoly", "Tableau",
-    "admissible_tableaux", "betti_vector", "betti_vector_bruteforce", "c_coeffs",
+    "admissible_tableaux", "betti_vector", "betti_vector_bruteforce",
+    "betti_vectors", "c_coeffs",
     "c_via_path_covers", "cell_dimension", "check_palindromic", "chromatic_qsym",
     "chromatic_qsym_bruteforce", "complement", "compositions", "digraph",
     "dot_character", "e_positivity_report", "enumerate_hessenberg",

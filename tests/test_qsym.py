@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesschrom import qsym
-from hesschrom.base import Composition, Partition, TPoly, compositions, partitions
+from hesschrom.base import Composition, Partition, TPoly, compositions, partitions, rearrangements
 from hesschrom.cli import run
 from hesschrom.qsym import (
     NotSymmetricError,
@@ -110,6 +110,29 @@ class TestOmega:
     def test_omega_p_sign(self, k):
         pk = generator("p", Partition((k,)))
         assert omega(pk) == pk.scaled((-1) ** (k - 1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_m_basis_matches_m_basis_route(self, n):
+        """On the m basis omega is a cached matrix; it agrees with the
+        M-basis omega of the same symmetric function."""
+        coeffs = {
+            lam: TPoly({0: i + 1, 1: Fraction(-1, 3)})
+            for i, lam in enumerate(partitions(n))
+        }
+        x = QSymElement(n, "m", coeffs)
+        as_m = QSymElement(
+            n,
+            "M",
+            {alpha: c for lam, c in coeffs.items() for alpha in rearrangements(lam)},
+        )
+        assert omega(x) == to_m_basis(omega(as_m))
+        assert omega(omega(x)) == x
+
+    @pytest.mark.parametrize("basis", ["e", "h", "p", "s"])
+    def test_rejects_other_symmetric_bases(self, basis):
+        x = QSymElement(2, basis, {Partition((2,)): 1})
+        with pytest.raises(ValueError, match=f"omega .*'{basis}'"):
+            omega(x)
 
 
 small_compositions = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(
