@@ -23,7 +23,6 @@ the dataclass decorators on eleven classes a few ms more, although
 
 from __future__ import annotations
 
-import itertools
 from math import factorial
 from numbers import Rational
 
@@ -419,9 +418,19 @@ def partitions(n: int, max_part: int = None):
 
 
 def rearrangements(lam: Partition):
-    """Distinct compositions whose parts are a permutation of lam's parts."""
-    seen = sorted(set(itertools.permutations(lam.parts)))
-    return [Composition(p) for p in seen]
+    """Distinct compositions whose parts are a permutation of lam's parts,
+    in lexicographic order. Each is made once: the next part runs over the
+    distinct values left, not over every one of the ell(lam)! orders."""
+
+    def rec(left: tuple):
+        if not left:
+            yield ()
+        for i, v in enumerate(left):
+            if i == 0 or v != left[i - 1]:
+                for rest in rec(left[:i] + left[i + 1 :]):
+                    yield (v,) + rest
+
+    return [Composition(p) for p in rec(tuple(sorted(lam.parts)))]
 
 
 class Permutation(_Frozen):

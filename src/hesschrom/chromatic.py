@@ -9,8 +9,11 @@ count. A move appends a nonempty stable block B of unplaced vertices, and
 the statistic grows by the edges between U and B: for asc, the edges from
 each v in B down to a smaller vertex of U; for des, up to a larger one.
 That is at most 3^n moves in place of one per ordered partition.
-``chromatic_qsym_bruteforce`` keeps the sum over
-``stable_ordered_partitions`` as its oracle.
+The (block sizes, t-exponent) pairs are packed into one int key, which
+``qsym._unpack`` decodes; ``pathqsym`` shares that decoder and nothing
+else. ``chromatic_qsym_bruteforce`` keeps the sum over
+``stable_ordered_partitions`` as its oracle; it builds its compositions
+without the decoder.
 
 This module does not import ``pathqsym``, nor ``pathqsym`` this one:
 X_{G(m)} = Xi_{D(m)} compares two independent computations."""
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from .base import Composition, DEFAULT_MAX_N, TPoly, check_bound
 from .hessenberg import Graph
-from .qsym import QSymElement
+from .qsym import QSymElement, _unpack
 
 
 def _stable_subsets(vertices, graph: Graph):
@@ -73,23 +76,6 @@ def _stat_of_partition(blocks, graph: Graph, stat: str) -> int:
     return count
 
 
-def _unpack(n: int, value: dict) -> QSymElement:
-    """The element held by a final DP value: each key packs a t-exponent
-    above bit n and, below it, the positions at which blocks start."""
-    acc = {}
-    for key, count in value.items():
-        acc.setdefault(key & ((1 << n) - 1), {})[key >> n] = count
-    return QSymElement(
-        n,
-        "M",
-        {
-            Composition.from_bars(n, [p for p in range(1, n) if starts >> p & 1]):
-            TPoly(exps)
-            for starts, exps in acc.items()
-        },
-    )
-
-
 def chromatic_qsym(
     graph: Graph, stat: str = "asc", max_n: int = DEFAULT_MAX_N, force: bool = False
 ) -> QSymElement:
@@ -119,8 +105,8 @@ def chromatic_qsym(
         rest = mask & (mask - 1)
         stable[mask] = stable[rest] and not nbrs[low] & rest
     # states[U] maps (block sizes, exponent) to a count, packed into one
-    # int key as in _unpack: appending B at position |U| adds bit |U| and
-    # shifts the exponent by the step. None once expanded.
+    # int key as qsym._unpack reads it: appending B at position |U| adds
+    # bit |U| and shifts the exponent by the step. None once expanded.
     states = [{} for _ in range(full + 1)]
     states[0][0] = 1
     for used in range(full):

@@ -5,6 +5,9 @@ At module level this file imports only ``base`` and ``hessenberg``.  Each
 subcommand imports its own pipeline when it runs, and only ``verify``
 imports them all, so a cold request pays for no module it does not use.
 
+Each ``_cmd_*`` returns (exit code, JSON document, text lines), and ``run``
+prints the document under ``--json`` and the lines otherwise.
+
 Exit codes: 0 success / suite passed, 1 verification failure, 2 usage or
 validation error.
 """
@@ -44,12 +47,10 @@ def expansion_json(x: QSymElement):
     }
 
 
-def _print_expansion(x: QSymElement, as_json: bool):
-    if as_json:
-        print(json.dumps(expansion_json(x)))
-        return
-    for k, c in x.sorted_terms():
-        print(f"{x.basis}{k}  {c}")
+def _expansion(x: QSymElement):
+    """The command result for an expansion: one term a line in text."""
+    lines = (f"{x.basis}{k}  {c}" for k, c in x.sorted_terms())
+    return 0, expansion_json(x), lines
 
 
 def _parse_ints(text: str):
@@ -76,7 +77,7 @@ def _parse_digraph(args) -> Digraph:
     return Digraph(frozenset(vertices), frozenset(edges))
 
 
-def _cmd_xg(args) -> int:
+def _cmd_xg(args):
     """X_{G(m)}(t) for ``xg``, omega X_{G(m)}(t) for ``omega-xg``."""
     from .chromatic import chromatic_qsym
     from .qsym import expand_in_basis, omega, to_m_basis
@@ -90,91 +91,66 @@ def _cmd_xg(args) -> int:
         x = to_m_basis(x)
         if args.basis != "m":
             x = expand_in_basis(x, args.basis)
-    _print_expansion(x, args.json)
-    return 0
+    return _expansion(x)
 
 
-def _cmd_xi(args) -> int:
+def _cmd_xi(args):
     from .pathqsym import path_qsym
     d = _parse_digraph(args)
     xi = path_qsym(d, args.stat, max_n=args.max_n, force=args.force)
-    _print_expansion(xi, args.json)
-    return 0
+    return _expansion(xi)
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args):
     from .betti import betti_vector
     m = _parse_hessenberg(args)
     lam = Partition(_parse_ints(args.lam))
     bv = betti_vector(m, lam, max_n=args.max_n, force=args.force)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "m": list(m.m),
-                    "lambda": list(lam.parts),
-                    "weight": bv.weight,
-                    "betti": [[deg, c] for deg, c in bv.values],
-                }
-            )
-        )
-    else:
-        for deg, c in bv.values:
-            print(f"beta[{deg}] = {c}")
-    return 0
+    doc = {
+        "m": list(m.m),
+        "lambda": list(lam.parts),
+        "weight": bv.weight,
+        "betti": [[deg, c] for deg, c in bv.values],
+    }
+    return 0, doc, (f"beta[{deg}] = {c}" for deg, c in bv.values)
 
 
-def _cmd_character(args) -> int:
+def _cmd_character(args):
     from .character import dot_character
     m = _parse_hessenberg(args)
     chi = dot_character(m, args.d, max_n=args.max_n, force=args.force)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "m": list(m.m),
-                    "d": args.d,
-                    "values": [
-                        {"cycle_type": list(mu.parts), "value": v}
-                        for mu, v in chi.values
-                    ],
-                }
-            )
-        )
-    else:
-        for mu, v in chi.values:
-            print(f"chi{mu} = {v}")
-    return 0
+    doc = {
+        "m": list(m.m),
+        "d": args.d,
+        "values": [
+            {"cycle_type": list(mu.parts), "value": v} for mu, v in chi.values
+        ],
+    }
+    return 0, doc, (f"chi{mu} = {v}" for mu, v in chi.values)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     funcs = enumerate_hessenberg(args.n, max_n=args.max_n, force=args.force)
-    if args.json:
-        print(json.dumps({"n": args.n, "count": len(funcs), "m": [list(f.m) for f in funcs]}))
-    else:
-        for f in funcs:
-            print(str(f))
-    return 0
+    doc = {"n": args.n, "count": len(funcs), "m": [list(f.m) for f in funcs]}
+    return 0, doc, map(str, funcs)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .verify import SUITES
     fn = SUITES[args.suite]
     kwargs = {"seed": args.seed} if args.suite == "reciprocity" else {}
     if args.max_n is not None:
         kwargs["max_n"] = args.max_n
     report = fn(**kwargs)
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        status = "PASS" if report.ok else "FAIL"
-        print(
-            f"{status} suite={report.suite} checked={report.checked} "
-            f"failures={len(report.failures)} elapsed_ms={report.elapsed_ms}"
-        )
-        for f in report.failures:
-            print(f"  {f['input']}: expected {f['expected']}, got {f['actual']}")
-    return 0 if report.ok else 1
+    lines = [
+        f"{'PASS' if report.ok else 'FAIL'} suite={report.suite} "
+        f"checked={report.checked} failures={len(report.failures)} "
+        f"elapsed_ms={report.elapsed_ms}"
+    ] + [
+        f"  {f['input']}: expected {f['expected']}, got {f['actual']}"
+        for f in report.failures
+    ]
+    return (0 if report.ok else 1), report.to_json(), lines
 
 
 def build_parser(suites=()) -> argparse.ArgumentParser:
@@ -241,10 +217,16 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code, doc, lines = args.fn(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(doc))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def main() -> None:

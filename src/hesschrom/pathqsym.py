@@ -1,7 +1,8 @@
 """The path quasisymmetric function Xi_D(x,t) over ordered path covers of
 a digraph, the reciprocity identity omega Xi_D = Xi_{D-complement} as an
-executable check, path-cover counts for the coefficients c_{d,lambda},
-and the explicit SW-to-T inversion bijection on path covers.
+executable check, path-cover counts for the coefficients c_{d,lambda}
+(the [M_alpha] coefficient of Xi of the complement of D(m)), and the
+explicit SW-to-T inversion bijection on path covers.
 
 ``path_qsym`` is a dynamic programme over subsets. Number the vertices
 by sorted label. A state is (U, last): the bitmask U of vertices already
@@ -11,8 +12,11 @@ path at any free vertex w or extends the open path to a free w with
 last -> w an edge, and the statistic grows by the neutral pairs between
 U and w: for asc, those with a smaller vertex of U; for des, with a
 larger one. That is at most n^2 2^n moves in place of one per ordered
-path cover. ``path_qsym_bruteforce`` keeps the sum over
-``ordered_path_covers`` as its oracle.
+path cover. The (path lengths, t-exponent) pairs are packed into one
+int key, which ``qsym._unpack`` decodes; ``chromatic`` shares that
+decoder and nothing else. ``path_qsym_bruteforce`` keeps the sum over
+``ordered_path_covers`` as its oracle; it builds its compositions without
+the decoder.
 
 This module does not import ``chromatic``, nor ``chromatic`` this one:
 Xi_{D(m)} = X_{G(m)} compares two independent computations."""
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from .base import Composition, DEFAULT_MAX_N, Report, TPoly, _Frozen, check_bound
 from .hessenberg import Digraph, HessenbergFunction, complement, digraph
-from .qsym import QSymElement, omega
+from .qsym import QSymElement, _unpack, omega
 
 
 class OrderedPathCover(_Frozen):
@@ -101,23 +105,6 @@ def sequencing_stat(q: tuple, d: Digraph, stat: str = "asc") -> int:
     return count
 
 
-def _unpack(n: int, value: dict) -> QSymElement:
-    """The element held by a final DP value: each key packs a t-exponent
-    above bit n and, below it, the positions at which paths start."""
-    acc = {}
-    for key, count in value.items():
-        acc.setdefault(key & ((1 << n) - 1), {})[key >> n] = count
-    return QSymElement(
-        n,
-        "M",
-        {
-            Composition.from_bars(n, [p for p in range(1, n) if starts >> p & 1]):
-            TPoly(exps)
-            for starts, exps in acc.items()
-        },
-    )
-
-
 def path_qsym(
     d: Digraph, stat: str = "asc", max_n: int = DEFAULT_MAX_N, force: bool = False
 ) -> QSymElement:
@@ -141,9 +128,9 @@ def path_qsym(
                     charged[w] |= 1 << u
     full = (1 << n) - 1
     # states[U]: {last: {key: count}}, where the key packs (path lengths,
-    # exponent) as in _unpack: starting a path at position |U| adds bit
-    # |U|, and every move shifts the exponent by its step. The empty
-    # sequencing has no open path (last = -1). None once expanded.
+    # exponent) as qsym._unpack reads it: starting a path at position |U|
+    # adds bit |U|, and every move shifts the exponent by its step. The
+    # empty sequencing has no open path (last = -1). None once expanded.
     states = [{} for _ in range(full + 1)]
     states[0][-1] = {0: 1}
     for used in range(full + 1):
@@ -211,29 +198,6 @@ def verify_reciprocity(
     return report
 
 
-def covers_with_composition(
-    d: Digraph, alpha: Composition, max_n: int = DEFAULT_MAX_N, force: bool = False
-):
-    """Ordered path covers of d whose composition is exactly alpha."""
-    check_bound(len(d.vertices), max_n, force)
-    if alpha.n != len(d.vertices):
-        raise ValueError(f"{alpha} is not a composition of {len(d.vertices)}")
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == alpha.length:
-            out.append(OrderedPathCover(tuple(prefix), alpha))
-            return
-        want = alpha.parts[i]
-        for start in sorted(remaining):
-            for path in _paths_from(start, remaining, d):
-                if len(path) == want:
-                    rec(i + 1, remaining - set(path), prefix + list(path))
-
-    rec(0, frozenset(d.vertices), [])
-    return out
-
-
 def c_via_path_covers(
     m: HessenbergFunction,
     alpha: Composition,
@@ -242,13 +206,12 @@ def c_via_path_covers(
     force: bool = False,
 ):
     """d -> number of ordered path covers (q, alpha) of the complement of
-    D(m) with the chosen statistic equal to d."""
-    dbar = complement(digraph(m))
-    counts = {}
-    for cover in covers_with_composition(dbar, alpha, max_n, force):
-        d = sequencing_stat(cover.q, dbar, stat)
-        counts[d] = counts.get(d, 0) + 1
-    return counts
+    D(m) with the chosen statistic equal to d: the [M_alpha] coefficient
+    of ``path_qsym`` on that complement."""
+    if alpha.n != m.n:
+        raise ValueError(f"{alpha} is not a composition of {m.n}")
+    xi = path_qsym(complement(digraph(m)), stat, max_n, force)
+    return dict(xi.coeff(alpha).terms)
 
 
 # --- the SW-inversion / T-inversion bijection on path covers ------------

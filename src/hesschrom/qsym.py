@@ -68,6 +68,20 @@ def _freeze(n: int, basis: str, acc: dict):
     return QSymElement(n, basis, {key: TPoly(slot) for key, slot in acc.items()})
 
 
+def _unpack(n: int, value: dict):
+    """The M-basis element held by the final value of the subset DPs in
+    ``chromatic`` and ``pathqsym``: each key packs a t-exponent above bit
+    n and, below it, the positions at which blocks or paths start."""
+    acc = {}
+    for key, count in value.items():
+        acc.setdefault(key & ((1 << n) - 1), {})[key >> n] = count
+    out = {}
+    for starts, exps in acc.items():
+        bars = [p for p in range(1, n) if starts >> p & 1]
+        out[Composition.from_bars(n, bars)] = exps
+    return _freeze(n, "M", out)
+
+
 QSYM_BASES = ("M", "F")
 SYM_BASES = ("m", "e", "h", "p", "s")
 

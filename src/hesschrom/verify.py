@@ -30,7 +30,6 @@ from .betti import (
     unified_dimension,
 )
 from .character import (
-    c_coeffs,
     dot_character,
     e_positivity_report,
     frobenius_image,
@@ -70,17 +69,15 @@ def verify_sw_betti(
     """Check betti_vector(m, lam)(2d) == c_{d, lam}(m) for every lam, d:
     the tableau pipeline against the qsym pipeline."""
     check_bound(m.n, max_n, force)
-    cc = c_coeffs(m)
-    c_degrees = {}
-    for d, lam in cc:
-        c_degrees.setdefault(lam, set()).add(d)
+    wx = omega_x_of(m)
     report = Report("sw")
     for lam, bv in betti_vectors(m, max_n, force).items():
         bv = bv.as_dict()
-        for d in sorted(c_degrees.get(lam, set()) | {deg // 2 for deg in bv}):
+        c = wx.coeff(lam)
+        for d in sorted(c.terms.keys() | {deg // 2 for deg in bv}):
             report.checked += 1
             lhs = bv.get(2 * d, 0)
-            rhs = cc.get((d, lam), 0)
+            rhs = c.coeff(d)
             if lhs != rhs:
                 report.record(
                     f"m={m}, lambda={lam}, d={d}", f"c={rhs}", f"beta_2d={lhs}"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from hesschrom.base import (
     compositions,
     is_palindromic,
     partitions,
+    rearrangements,
     z_of,
 )
 
@@ -125,6 +127,13 @@ class TestEnumeration:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
         for n, e in enumerate(expected):
             assert len(list(partitions(n))) == e
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_rearrangements_are_the_distinct_permutations(self, n):
+        """Oracle: every ell(lam)! permutation, deduplicated and sorted."""
+        for lam in partitions(n):
+            expected = sorted(set(itertools.permutations(lam.parts)))
+            assert [c.parts for c in rearrangements(lam)] == expected
 
 
 class TestPermutation:

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from hesschrom import pathqsym
 from hesschrom.cli import run
 from hesschrom.verify import SUITES
 
@@ -155,6 +156,24 @@ class TestVerify:
             code, out, _ = capture(capsys, ["verify", "--suite", suite, "--max-n", "0"])
             assert code == 1, suite
             assert out.startswith(f"FAIL suite={suite} checked=0 "), out
+
+    def test_failing_suite_prints_each_failure_in_text(self, capsys, monkeypatch):
+        real = pathqsym.omega
+        monkeypatch.setattr(pathqsym, "omega", lambda x: real(x).scaled(2))
+        argv = ["verify", "--suite", "reciprocity", "--max-n", "2", "--seed", "1"]
+        code, out, _ = capture(capsys, argv + ["--json"])
+        assert code == 1
+        failures = json.loads(out)["failures"]
+        assert failures
+        code, out, _ = capture(capsys, argv)
+        assert code == 1
+        status, *lines = out.splitlines()
+        assert status.startswith("FAIL suite=reciprocity checked=")
+        assert f" failures={len(failures)} " in status
+        assert lines == [
+            f"  {f['input']}: expected {f['expected']}, got {f['actual']}"
+            for f in failures
+        ]
 
     def test_usage_lists_every_suite(self, capsys):
         """The choices come from SUITES, read only when verify runs."""

@@ -1,5 +1,5 @@
 """CLI output, ``--json`` and text, pinned byte for byte on golden inputs
-at n = 5.
+at n = 5: every subcommand but ``verify``, each both ways.
 
 ``golden/cli_n5.json`` maps each argument line to the exact stdout the CLI
 printed for it when the fixture was recorded. Any change to a coefficient,
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from hesschrom.base import partitions
 from hesschrom.cli import run
 from hesschrom.hessenberg import complement, digraph, new_hessenberg, weight
 
@@ -37,12 +38,15 @@ def golden_argvs():
             out.append(["xi", "--edges", _edges(d), "--vertices", "1,2,3,4,5", "--json"])
         for deg in range(weight(hm) + 1):
             out.append(["character", "--m", m_text, "--d", str(deg), "--json"])
+        for lam in partitions(5):
+            lam_text = ",".join(map(str, lam.parts))
+            out.append(["betti", "--m", m_text, "--lambda", lam_text, "--json"])
+    out.append(["enumerate", "--n", "5", "--json"])
     return out
 
 
 ARGVS = golden_argvs()
-# the expansion printers also run without --json
-TEXT_ARGVS = [argv[:-1] for argv in ARGVS if argv[0] != "character"]
+TEXT_ARGVS = [argv[:-1] for argv in ARGVS]
 EXPECTED = json.loads(GOLDEN.read_text())
 
 

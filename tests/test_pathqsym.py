@@ -1,6 +1,6 @@
 import pytest
 
-from hesschrom.base import Composition, TPoly, partitions, rearrangements
+from hesschrom.base import Composition, TPoly, compositions, partitions, rearrangements
 from hesschrom.chromatic import chromatic_qsym
 from hesschrom.hessenberg import (
     Digraph,
@@ -13,9 +13,9 @@ from hesschrom.hessenberg import (
 )
 from hesschrom.pathqsym import (
     c_via_path_covers,
-    covers_with_composition,
     ordered_path_covers,
     path_qsym,
+    sequencing_stat,
     verify_reciprocity,
 )
 from hesschrom import verify
@@ -135,9 +135,26 @@ class TestCViaPathCovers:
         # brute force for n=3 shows exactly one 3-vertex path, q=(1,2,3),
         # with asc q = 0 (all pairs are comparable, hence not neutral)
         m = staircase(3)
-        covers = covers_with_composition(complement(digraph(m)), Composition((3,)))
-        assert [c.q for c in covers] == [(1, 2, 3)]
+        covers = ordered_path_covers(complement(digraph(m)))
+        assert [c.q for c in covers if c.beta == Composition((3,))] == [(1, 2, 3)]
         assert c_via_path_covers(m, Composition((3,))) == {0: 1}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_counts_the_enumerated_covers(self, n):
+        """The DP readout against the covers themselves: for every alpha,
+        the statistic counted over the covers of composition alpha."""
+        for m in enumerate_hessenberg(n):
+            dbar = complement(digraph(m))
+            counts = {}
+            for cover in ordered_path_covers(dbar):
+                for stat in ("asc", "des"):
+                    slot = counts.setdefault((stat, cover.beta), {})
+                    d = sequencing_stat(cover.q, dbar, stat)
+                    slot[d] = slot.get(d, 0) + 1
+            for alpha in compositions(n):
+                for stat in ("asc", "des"):
+                    expected = counts.get((stat, alpha), {})
+                    assert c_via_path_covers(m, alpha, stat) == expected
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("stat", ["asc", "des"])

@@ -12,8 +12,9 @@ import inspect
 import pytest
 
 from hesschrom import character, pathqsym, verify
-from hesschrom.base import BoundExceededError
+from hesschrom.base import BoundExceededError, TPoly
 from hesschrom.hessenberg import new_hessenberg, staircase
+from hesschrom.qsym import QSymElement
 
 TARGET = new_hessenberg(3, (2, 3))
 
@@ -28,19 +29,19 @@ def _assert_one_input_fails(clean, report, prefix):
 
 def test_sw_names_m_lambda_and_d(monkeypatch):
     clean = verify.suite_sw(max_n=3)
-    real = verify.c_coeffs
+    real = verify.omega_x_of
+    lam, poly = next(iter(real(TARGET).terms.items()))
+    d = next(iter(poly.terms))
+    bump = QSymElement(TARGET.n, "m", {lam: TPoly({d: 1})})
 
     def corrupted(m):
-        cc = dict(real(m))
-        if m == TARGET:
-            cc[next(iter(cc))] += 1
-        return cc
+        wx = real(m)
+        return wx + bump if m == TARGET else wx
 
-    monkeypatch.setattr(verify, "c_coeffs", corrupted)
+    monkeypatch.setattr(verify, "omega_x_of", corrupted)
     report = verify.suite_sw(max_n=3)
     _assert_one_input_fails(clean, report, f"m={TARGET}, ")
     (failure,) = report.failures
-    d, lam = next(iter(real(TARGET)))
     assert failure["input"] == f"m={TARGET}, lambda={lam}, d={d}"
 
 
@@ -113,8 +114,8 @@ def test_registered_suite_fills_a_timed_report_of_its_name(name):
 
 def test_sw_betti_guards_size_before_computing(monkeypatch):
     def unreachable(m):
-        raise AssertionError("c_coeffs ran before the size guard")
+        raise AssertionError("omega_x_of ran before the size guard")
 
-    monkeypatch.setattr(verify, "c_coeffs", unreachable)
+    monkeypatch.setattr(verify, "omega_x_of", unreachable)
     with pytest.raises(BoundExceededError):
         verify.verify_sw_betti(staircase(9))
