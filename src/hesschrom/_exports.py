@@ -56,32 +56,29 @@ from .hessenberg import (
     staircase,
     weight,
 )
-from .pathqsym import (
+from .pathcovers import (
     InvalidCoverError,
     OrderedPathCover,
     c_via_path_covers,
     ordered_path_covers,
-    path_qsym,
     path_qsym_bruteforce,
     sw_inversions_of_cover,
     sw_to_t_bijection,
     t_inversions_of_cover,
     verify_reciprocity,
 )
+from .pathqsym import path_qsym
 from .qsym import (
     NotSymmetricError,
     QSymElement,
-    expand_in_basis,
     f_to_m,
-    generator,
     is_symmetric,
-    kostka,
-    kostka_bruteforce,
     m_to_f,
     omega,
     quasi_shuffle,
     to_m_basis,
 )
+from .sym import expand_in_basis, generator, kostka, kostka_bruteforce
 from .verify import verify_sw_betti
 
 # only the names imported above: "from .x import" binds no module here

@@ -25,7 +25,8 @@ from .base import (
 )
 from .chromatic import chromatic_qsym
 from .hessenberg import HessenbergFunction, incomparability_graph, weight
-from .qsym import QSymElement, contract_to_m, expand_in_basis, omega, to_m_basis
+from .qsym import QSymElement, omega, to_m_basis
+from .sym import contract_to_m, expand_in_basis
 
 
 class IntegralityError(ArithmeticError):
@@ -76,8 +77,9 @@ def omega_x_of(m: HessenbergFunction) -> QSymElement:
     return omega(x_of(m))
 
 
-def c_coeffs(m: HessenbergFunction):
+def c_coeffs(m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False):
     """(d, lambda) -> coefficient of t^d m_lambda in omega X_{G(m)}(t)."""
+    check_bound(m.n, max_n, force)
     wx = omega_x_of(m)
     out = {}
     for lam, poly in wx.terms.items():

@@ -80,7 +80,7 @@ def _parse_digraph(args) -> Digraph:
 def _cmd_xg(args):
     """X_{G(m)}(t) for ``xg``, omega X_{G(m)}(t) for ``omega-xg``."""
     from .chromatic import chromatic_qsym
-    from .qsym import expand_in_basis, omega, to_m_basis
+    from .qsym import omega, to_m_basis
     m = _parse_hessenberg(args)
     x = chromatic_qsym(
         incomparability_graph(m), args.stat, max_n=args.max_n, force=args.force
@@ -90,6 +90,7 @@ def _cmd_xg(args):
     if args.basis != "M":
         x = to_m_basis(x)
         if args.basis != "m":
+            from .sym import expand_in_basis  # only e, h, p and s need sym
             x = expand_in_basis(x, args.basis)
     return _expansion(x)
 

@@ -1,7 +1,7 @@
 """Brute-force verification suites for the library's identities.
 
 Every check returns a ``Report`` (defined in ``base``): the per-input
-checks (``verify_sw_betti`` here, ``verify_reciprocity`` in ``pathqsym``,
+checks (``verify_sw_betti`` here, ``verify_reciprocity`` in ``pathcovers``,
 the positivity reports in ``character``) record their own failures, and
 the suites built on them merge their reports with ``Report.extend``.  A report passes iff
 it checked something and recorded no failure.
@@ -47,20 +47,15 @@ from .hessenberg import (
     incomparability_graph,
     weight,
 )
-from .pathqsym import (
+from .pathcovers import (
     ordered_path_covers,
     sw_inversions_of_cover,
     sw_to_t_bijection,
     t_inversions_of_cover,
     verify_reciprocity,
 )
-from .qsym import (
-    QSymElement,
-    f_to_m,
-    generator,
-    is_symmetric,
-    omega,
-)
+from .qsym import QSymElement, f_to_m, is_symmetric, omega
+from .sym import generator
 
 
 def verify_sw_betti(

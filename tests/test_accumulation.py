@@ -21,18 +21,10 @@ from hesschrom.hessenberg import (
     incomparability_graph,
     weight,
 )
-from hesschrom.pathqsym import ordered_path_covers, path_qsym, sequencing_stat
-from hesschrom.qsym import (
-    QSymElement,
-    contract_to_m,
-    f_to_m,
-    generator,
-    kostka,
-    m_to_f,
-    omega,
-    quasi_shuffle,
-    to_m_basis,
-)
+from hesschrom.pathcovers import ordered_path_covers, sequencing_stat
+from hesschrom.pathqsym import path_qsym
+from hesschrom.qsym import QSymElement, f_to_m, m_to_f, omega, quasi_shuffle, to_m_basis
+from hesschrom.sym import contract_to_m, generator, kostka
 
 
 # --- oracles: the sum-by-+ producers ------------------------------------

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from hesschrom.base import Composition, Partition, partitions
+from hesschrom import character
+from hesschrom.base import BoundExceededError, Composition, Partition, partitions
 from hesschrom.betti import (
     BettiVector,
     Tableau,
@@ -21,7 +22,7 @@ from hesschrom.hessenberg import (
     staircase,
     weight,
 )
-from hesschrom.pathqsym import (
+from hesschrom.pathcovers import (
     InvalidCoverError,
     OrderedPathCover,
     c_via_path_covers,
@@ -128,6 +129,21 @@ class TestCCoeffs:
         cc = c_coeffs(new_hessenberg(2, (2,)))
         two, pair = Partition((2,)), Partition((1, 1))
         assert cc == {(0, two): 1, (1, two): 1, (0, pair): 1, (1, pair): 1}
+
+    def test_size_guard(self, monkeypatch):
+        """The guard is checked before ``omega_x_of`` is read."""
+        m = new_hessenberg(9, tuple(range(2, 10)))
+
+        def unreachable(m):
+            raise AssertionError("omega_x_of read before the size guard")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(character, "omega_x_of", unreachable)
+            with pytest.raises(BoundExceededError):
+                c_coeffs(m)
+        cc = c_coeffs(m, force=True)
+        assert sum(cc.values()) > 0
+        assert cc == c_coeffs(m, max_n=9)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_staircase_concentrated_at_zero(self, n):

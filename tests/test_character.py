@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hesschrom import qsym
+from hesschrom import sym
 from hesschrom.base import BoundExceededError, Partition, partitions
 from hesschrom.betti import betti_vector
 from hesschrom.character import (
@@ -181,7 +181,7 @@ class TestOmegaMatrix:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_matrix_is_an_involution(self, n):
-        parts, matrix = qsym._omega_matrix(n)
+        parts, matrix = sym._omega_matrix(n)
         assert parts == tuple(partitions(n))
         k = len(parts)
         square = [
@@ -191,7 +191,7 @@ class TestOmegaMatrix:
         assert square == [[int(i == l) for l in range(k)] for i in range(k)]
 
     def test_cached_value_is_immutable(self):
-        parts, matrix = qsym._omega_matrix(5)
+        parts, matrix = sym._omega_matrix(5)
         assert type(parts) is tuple and type(matrix) is tuple
         assert all(type(row) is tuple for row in matrix)
         assert all(type(v) is int for row in matrix for v in row)

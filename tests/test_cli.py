@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hesschrom import pathqsym
+from hesschrom import pathcovers
 from hesschrom.cli import run
 from hesschrom.verify import SUITES
 
@@ -158,8 +158,8 @@ class TestVerify:
             assert out.startswith(f"FAIL suite={suite} checked=0 "), out
 
     def test_failing_suite_prints_each_failure_in_text(self, capsys, monkeypatch):
-        real = pathqsym.omega
-        monkeypatch.setattr(pathqsym, "omega", lambda x: real(x).scaled(2))
+        real = pathcovers.omega
+        monkeypatch.setattr(pathcovers, "omega", lambda x: real(x).scaled(2))
         argv = ["verify", "--suite", "reciprocity", "--max-n", "2", "--seed", "1"]
         code, out, _ = capture(capsys, argv + ["--json"])
         assert code == 1

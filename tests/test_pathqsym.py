@@ -11,13 +11,13 @@ from hesschrom.hessenberg import (
     new_hessenberg,
     staircase,
 )
-from hesschrom.pathqsym import (
+from hesschrom.pathcovers import (
     c_via_path_covers,
     ordered_path_covers,
-    path_qsym,
     sequencing_stat,
     verify_reciprocity,
 )
+from hesschrom.pathqsym import path_qsym
 from hesschrom import verify
 from hesschrom.qsym import QSymElement
 

@@ -1,9 +1,9 @@
 """Pipeline independence, enforced on the import graph.
 
 The tableau pipeline (``betti``) and the qsym pipeline (``chromatic``,
-``qsym``, ``pathqsym``, ``character``) share no code beyond ``base`` and
-``hessenberg``; only ``verify`` compares them. Their agreement is then
-evidence, not tautology.
+``qsym``, ``sym``, ``pathqsym``, ``pathcovers``, ``character``) share no
+code beyond ``base`` and ``hessenberg``; only ``verify`` compares them.
+Their agreement is then evidence, not tautology.
 
 A CLI request imports only its own pipeline, so a cold process pays
 for nothing else; the subprocess tests below check what each subcommand
@@ -21,7 +21,7 @@ import pytest
 import hesschrom
 
 PACKAGE = Path(hesschrom.__file__).parent
-QSYM_PIPELINE = ("chromatic", "qsym", "pathqsym", "character")
+QSYM_PIPELINE = ("chromatic", "qsym", "sym", "pathqsym", "pathcovers", "character")
 
 
 def imported_names(path, module_level=False):
@@ -100,7 +100,17 @@ def test_base_does_not_import_fractions():
 def test_chromatic_and_pathqsym_do_not_import_each_other():
     """Xi_{D(m)} = X_{G(m)} compares two engines that share no code."""
     assert "pathqsym" not in imported_modules(PACKAGE / "chromatic.py")
+    assert "pathcovers" not in imported_modules(PACKAGE / "chromatic.py")
     assert "chromatic" not in imported_modules(PACKAGE / "pathqsym.py")
+    assert "chromatic" not in imported_modules(PACKAGE / "pathcovers.py")
+
+
+def test_path_dp_imports_only_what_an_xi_request_runs():
+    """The explicit path covers, their oracle and the bijection live in
+    ``pathcovers``, and the partition-space layer in ``sym``: an ``xi``
+    request compiles neither."""
+    assert imported_modules(PACKAGE / "pathqsym.py") == {"base", "hessenberg", "qsym"}
+    assert imported_modules(PACKAGE / "qsym.py", module_level=True) == {"base"}
 
 
 def test_pipelines_do_not_import_verify():
@@ -136,7 +146,9 @@ def modules_after(argv):
     return package, {name for name in loaded if name.split(".")[0] != "hesschrom"}
 
 
-TABLEAU_ONLY = {"chromatic", "qsym", "pathqsym", "character", "verify", "_exports"}
+TABLEAU_ONLY = {
+    "chromatic", "qsym", "sym", "pathqsym", "pathcovers", "character", "verify", "_exports"
+}
 # Standard-library modules no request needs: the value types are not
 # dataclasses, and only a basis solve or a character makes a Fraction.
 NOT_NEEDED = {"dataclasses", "inspect", "fractions", "decimal"}
@@ -150,17 +162,17 @@ NOT_NEEDED = {"dataclasses", "inspect", "fractions", "decimal"}
         (
             ["xi", "--edges", "1>2,2>3", "--vertices", "4"],
             {"pathqsym", "qsym"},
-            {"chromatic", "character", "betti", "verify", "_exports"},
+            {"chromatic", "sym", "pathcovers", "character", "betti", "verify", "_exports"},
         ),
         (
             ["xg", "--m", "2,3,3", "--basis", "M"],
             {"chromatic", "qsym"},
-            {"pathqsym", "betti", "verify", "_exports"},
+            {"sym", "pathqsym", "pathcovers", "betti", "verify", "_exports"},
         ),
         (
             ["omega-xg", "--m", "2,3,3", "--basis", "m"],
             {"chromatic", "qsym"},
-            {"pathqsym", "betti", "verify", "_exports"},
+            {"sym", "pathqsym", "pathcovers", "betti", "verify", "_exports"},
         ),
     ],
     ids=["betti", "enumerate", "xi", "xg", "omega-xg"],
@@ -172,10 +184,17 @@ def test_cli_request_imports_only_its_pipeline(argv, used, unused):
     assert not stdlib & NOT_NEEDED, sorted(stdlib & NOT_NEEDED)
 
 
+def test_xi_request_loads_only_the_path_dp():
+    loaded, _ = modules_after(["xi", "--edges", "1>2,2>1,2>3", "--stat", "des"])
+    assert loaded == {"base", "hessenberg", "pathqsym", "qsym"}
+
+
 def test_basis_solve_loads_fractions():
     """The other side of ``NOT_NEEDED``: an e-basis request solves and
-    needs ``fractions``, so the subprocess check sees stdlib modules."""
+    needs ``fractions`` and the partition-space layer ``sym``, so the
+    subprocess check sees both kinds of module."""
     loaded, stdlib = modules_after(["xg", "--m", "2,3,3", "--basis", "e"])
-    assert "qsym" in loaded
+    assert {"chromatic", "qsym", "sym"} <= loaded
+    assert not loaded & {"pathqsym", "pathcovers", "character", "betti", "verify", "_exports"}
     assert {"fractions", "decimal"} <= stdlib
     assert not stdlib & {"dataclasses", "inspect"}

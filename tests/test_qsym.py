@@ -6,23 +6,26 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hesschrom import qsym
+from hesschrom import qsym, sym
 from hesschrom.base import Composition, Partition, TPoly, compositions, partitions, rearrangements
 from hesschrom.cli import run
 from hesschrom.qsym import (
     NotSymmetricError,
     QSymElement,
-    contract_to_m,
-    expand_in_basis,
     f_to_m,
-    generator,
     is_symmetric,
-    kostka,
-    kostka_bruteforce,
     m_to_f,
     omega,
     quasi_shuffle,
     to_m_basis,
+)
+from hesschrom.sym import (
+    contract_to_m,
+    expand_in_basis,
+    generator,
+    kostka,
+    kostka_bruteforce,
+    m_partition_to_qsym,
 )
 
 
@@ -246,7 +249,7 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("target", ["e", "h", "p", "s"])
     @pytest.mark.parametrize("n", range(0, 8))
     def test_columns_match_generators(self, target, n):
-        parts, matrix = qsym._transition_matrix(n, target)
+        parts, matrix = sym._transition_matrix(n, target)
         assert parts == tuple(partitions(n))
         for j, lam in enumerate(parts):
             column = to_m_basis(generator(target, lam))
@@ -260,7 +263,7 @@ class TestTransitionMatrix:
 
     @pytest.mark.parametrize("target", ["e", "h", "p", "s"])
     def test_cached_value_is_immutable(self, target):
-        parts, matrix = qsym._transition_matrix(4, target)
+        parts, matrix = sym._transition_matrix(4, target)
         assert type(parts) is tuple and type(matrix) is tuple
         assert all(type(row) is tuple for row in matrix)
         assert all(type(v) is int for row in matrix for v in row)
@@ -268,10 +271,10 @@ class TestTransitionMatrix:
     def test_frontier_n10(self):
         # p(10) = 42 partitions; each matrix is built cold here
         for target in ("e", "h", "p", "s"):
-            parts, matrix = qsym._transition_matrix(10, target)
+            parts, matrix = sym._transition_matrix(10, target)
             assert len(parts) == len(matrix) == 42
-        assert qsym._transition_matrix(10, "s")[1][41][0] == 1  # K_{(10), 1^10}
-        assert qsym._transition_matrix(10, "h")[1][41][41] == 3628800  # 10!
+        assert sym._transition_matrix(10, "s")[1][41][0] == 1  # K_{(10), 1^10}
+        assert sym._transition_matrix(10, "h")[1][41][41] == 3628800  # 10!
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_n5.json").read_text())
@@ -281,14 +284,35 @@ class TestNoMBasisRoute:
     """Expansions and contractions build their matrices in partition
     space: they still work with the M-basis generators disabled."""
 
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the M-basis route was called")
+
+    def refuse_in_qsym_and_sym(self, monkeypatch, names):
+        for name in names:
+            for module in (qsym, sym):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, self.refuse)
+
     @pytest.fixture
     def m_route_off(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the M-basis route was called")
+        self.refuse_in_qsym_and_sym(monkeypatch, ("generator", "quasi_shuffle", "kostka_bruteforce"))
+        sym._transition_matrix.cache_clear()
 
-        for name in ("generator", "quasi_shuffle", "kostka_bruteforce"):
-            monkeypatch.setattr(qsym, name, refuse)
-        qsym._transition_matrix.cache_clear()
+    @pytest.fixture
+    def omega_route_off(self, m_route_off, monkeypatch):
+        """Also refuse ``to_m_basis``, ``m_partition_to_qsym`` and ``omega``
+        on anything but the m basis, and rebuild ``_omega_matrix``."""
+        real_omega = qsym.omega
+
+        def m_basis_omega_only(x):
+            if x.basis != "m":
+                self.refuse()
+            return real_omega(x)
+
+        self.refuse_in_qsym_and_sym(monkeypatch, ("to_m_basis", "m_partition_to_qsym"))
+        monkeypatch.setattr(qsym, "omega", m_basis_omega_only)
+        sym._omega_matrix.cache_clear()
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_round_trip(self, m_route_off, n):
@@ -296,6 +320,19 @@ class TestNoMBasisRoute:
             for lam in partitions(n):
                 x = QSymElement(n, target, {lam: TPoly({0: 2, 1: Fraction(-1, 3)})})
                 assert expand_in_basis(contract_to_m(x), target) == x
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_omega_matrix(self, omega_route_off, n):
+        """Built from Kostka integers with the M-basis route refused, each
+        column still equals the M-basis omega of m_lambda (this module's
+        own bindings of the refused functions are the real ones)."""
+        parts, matrix = sym._omega_matrix(n)
+        assert parts == tuple(partitions(n))
+        for j, lam in enumerate(parts):
+            column = to_m_basis(omega(m_partition_to_qsym(lam)))
+            assert [row[j] for row in matrix] == [column.coeff(mu).coeff(0) for mu in parts]
+            x = QSymElement(n, "m", {lam: TPoly({0: 3, 2: -1})})
+            assert qsym.omega(qsym.omega(x)) == x
 
     @pytest.mark.parametrize("m", ["1,2,3,4", "3,4,5,5", "5,5,5,5"])
     def test_cli_golden(self, m_route_off, capsys, m):
@@ -345,4 +382,4 @@ class TestBasisValidation:
     @pytest.mark.parametrize("target", ["M", "F", "m", "q"])
     def test_no_transition_matrix(self, target):
         with pytest.raises(ValueError, match=f"'{target}'"):
-            qsym._transition_matrix(3, target)
+            sym._transition_matrix(3, target)

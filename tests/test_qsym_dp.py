@@ -24,7 +24,8 @@ from hesschrom.hessenberg import (
     incomparability_graph,
     new_hessenberg,
 )
-from hesschrom.pathqsym import path_qsym, path_qsym_bruteforce
+from hesschrom.pathcovers import path_qsym_bruteforce
+from hesschrom.pathqsym import path_qsym
 from hesschrom.qsym import QSymElement
 
 STATS = ("asc", "des")

@@ -20,7 +20,7 @@ from hesschrom.base import Composition, Partition, Permutation, Report, TPoly, _
 from hesschrom.betti import BettiVector, Tableau
 from hesschrom.character import ClassFunction
 from hesschrom.hessenberg import Digraph, Graph, HessenbergFunction
-from hesschrom.pathqsym import OrderedPathCover
+from hesschrom.pathcovers import OrderedPathCover
 from hesschrom.qsym import QSymElement
 
 V = frozenset({1, 2})

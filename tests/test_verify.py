@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-from hesschrom import character, pathqsym, verify
+from hesschrom import character, pathcovers, verify
 from hesschrom.base import BoundExceededError, TPoly
 from hesschrom.hessenberg import new_hessenberg, staircase
 from hesschrom.qsym import QSymElement
@@ -76,7 +76,7 @@ def test_schur_names_m_lambda_and_degree(monkeypatch):
 @pytest.mark.parametrize("bad_call", [2, 8 + 4])
 def test_reciprocity_names_m_or_draw_and_seed(monkeypatch, bad_call):
     clean = verify.suite_reciprocity(max_n=3, seed=5, random_count=10)
-    real = pathqsym.omega
+    real = pathcovers.omega
     calls = []
 
     def corrupted(x):
@@ -84,7 +84,7 @@ def test_reciprocity_names_m_or_draw_and_seed(monkeypatch, bad_call):
         wx = real(x)
         return wx.scaled(2) if len(calls) == bad_call + 1 else wx
 
-    monkeypatch.setattr(pathqsym, "omega", corrupted)
+    monkeypatch.setattr(pathcovers, "omega", corrupted)
     report = verify.suite_reciprocity(max_n=3, seed=5, random_count=10)
     # the suite runs the 1 + 2 + 5 digraphs D(m) with n <= 3 first
     if bad_call < 8:
