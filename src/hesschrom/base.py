@@ -3,8 +3,10 @@ calculus, integer partitions, and permutations with cycle types; and the
 Report that every check returns.
 
 All values but Reports are immutable after construction and all
-arithmetic is exact (arbitrary-precision integers; fractions appear only
-transiently inside basis solves).
+arithmetic is exact: arbitrary-precision integers, and Fractions inside
+a basis solve and in the results that keep them for good, such as a
+p-basis expansion and ``frobenius_image`` (whose m-basis coefficients are
+Fractions of denominator 1).
 
 Value types, here and in the other modules, are hand-written slotted
 classes on the private ``_Frozen`` base below, which gives every one of
@@ -23,6 +25,7 @@ the dataclass decorators on eleven classes a few ms more, although
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 from numbers import Rational
 
@@ -131,8 +134,10 @@ class TPoly:
     """Laurent polynomial in one variable t with exact coefficients.
 
     ``terms`` maps integer exponents (possibly negative) to nonzero
-    coefficients.  Coefficients are ints, or Fractions while a linear
-    solve is in flight.  Zero coefficients are never stored, so equality
+    coefficients.  Coefficients are ints, or Fractions: inside a linear
+    solve, and for good in the results that keep them, such as a p-basis
+    expansion (``xg --m 2,3 --basis p`` prints 1/3, -1/2 and 1/6) and
+    ``frobenius_image``.  Zero coefficients are never stored, so equality
     is term-map equality.
     """
 
@@ -213,10 +218,20 @@ class TPoly:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return TPoly._of(out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerced(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, TPoly):
@@ -406,15 +421,24 @@ def compositions(n: int):
 
 
 def partitions(n: int, max_part: int = None):
-    """All partitions of n in reverse lexicographic (descending) order."""
+    """All partitions of n with parts at most max_part (default n), in
+    reverse lexicographic (descending) order: a fresh iterator over one
+    tuple of Partitions built once per (n, max_part)."""
+    return iter(_partitions(n, n if max_part is None else min(max_part, n)))
+
+
+@lru_cache(maxsize=256)
+def _partitions(n: int, max_part: int) -> tuple:
     if n == 0:
-        yield Partition(())
-        return
-    if max_part is None:
-        max_part = n
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            yield Partition((first,) + rest.parts)
+        return (Partition(()),)
+    out = []
+    for first in range(max_part, 0, -1):
+        for rest in _partitions(n - first, min(first, n - first)):
+            # valid by construction, so Partition's checks are skipped
+            lam = object.__new__(Partition)
+            object.__setattr__(lam, "parts", (first,) + rest.parts)
+            out.append(lam)
+    return tuple(out)
 
 
 def rearrangements(lam: Partition):

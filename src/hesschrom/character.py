@@ -61,26 +61,37 @@ class ClassFunction(_Frozen):
         return self(Partition((1,) * self.n))
 
 
+# The lru keys of x_of and omega_x_of hold max_n and force as they were
+# passed. Every caller inside the package checks the bound first and passes
+# force=True alone, so each m has one cache entry.
+
+
 @lru_cache(maxsize=None)
-def x_of(m: HessenbergFunction) -> QSymElement:
+def x_of(
+    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
+) -> QSymElement:
     """X_{G(m)}(t) in the monomial symmetric basis."""
+    check_bound(m.n, max_n, force)
     return to_m_basis(chromatic_qsym(incomparability_graph(m), "asc", force=True))
 
 
 @lru_cache(maxsize=None)
-def omega_x_of(m: HessenbergFunction) -> QSymElement:
+def omega_x_of(
+    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
+) -> QSymElement:
     """omega X_{G(m)}(t) in the monomial symmetric basis: the cached
     integer matrix of omega on the m basis of degree n (``omega`` on an
     m-basis input) times ``x_of(m)``, with no second ``chromatic_qsym``
     and no M-basis omega over the 3^(n-1) terms of its expansion.
     ``to_m_basis(omega(chromatic_qsym(...)))`` is the oracle."""
-    return omega(x_of(m))
+    check_bound(m.n, max_n, force)
+    return omega(x_of(m, force=True))
 
 
 def c_coeffs(m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False):
     """(d, lambda) -> coefficient of t^d m_lambda in omega X_{G(m)}(t)."""
     check_bound(m.n, max_n, force)
-    wx = omega_x_of(m)
+    wx = omega_x_of(m, force=True)
     out = {}
     for lam, poly in wx.terms.items():
         for d, c in poly.terms.items():
@@ -96,7 +107,7 @@ def _degree_slice(
     check_bound(m.n, max_n, force)
     if not 0 <= d <= weight(m):
         raise ValueError(f"d={d} outside 0..{weight(m)}")
-    return omega_x_of(m).t_slice(d)
+    return omega_x_of(m, force=True).t_slice(d)
 
 
 def dot_character(
@@ -173,7 +184,7 @@ def e_positivity_report(
 ) -> Report:
     """Expand X_{G(m)}(t) in the e basis per t-degree; record negatives."""
     check_bound(m.n, max_n, force)
-    in_e = expand_in_basis(x_of(m), "e")
+    in_e = expand_in_basis(x_of(m, force=True), "e")
     triples = (
         (lam, d, _as_int(poly.coeff(d), f"e-coefficient at {lam}, t^{d}"))
         for lam, poly in in_e.sorted_terms()

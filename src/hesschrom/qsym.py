@@ -87,6 +87,11 @@ class QSymElement(_Frozen):
     or deleted after construction.  A read-only mapping can be neither
     hashed nor pickled, so ``__hash__`` and ``__reduce__`` read it as a
     frozenset and a dict.
+
+    Construction takes one pass: each coefficient is made a TPoly once and
+    kept as it is (TPolys are immutable, so it is not copied), zeros are
+    dropped, and coefficients are added only where an iterable of pairs
+    repeats a key.
     """
 
     __slots__ = _fields = ("n", "basis", "terms")
@@ -102,9 +107,10 @@ class QSymElement(_Frozen):
                     kind = "composition" if basis in QSYM_BASES else "partition"
                     raise DegreeMismatchError(f"{key} is not a {kind} of {n}")
                 c = _coerce_poly(c)
-                s = clean.get(key, TPoly()) + c
-                if s:
-                    clean[key] = s
+                if key in clean:
+                    c = clean[key] + c
+                if c:
+                    clean[key] = c
                 else:
                     clean.pop(key, None)
         object.__setattr__(self, "n", n)
@@ -206,8 +212,8 @@ def omega(x: QSymElement) -> QSymElement:
     """The omega involution, on the M basis (F inputs are converted); an
     m-basis input stays in the m basis, through ``sym._omega_matrix``."""
     if x.basis == "m":
-        from .sym import _apply, _omega_matrix  # only the m basis needs sym
-        return _apply(x, *_omega_matrix(x.n), "m")
+        from .sym import _apply  # only the m basis needs sym
+        return _apply(x, "omega", "m")
     if x.basis == "F":
         x = f_to_m(x)
     elif x.basis != "M":

@@ -10,7 +10,8 @@ of the merges of one partition's parts into another's.
 ``expand_in_basis`` solves against it and ``contract_to_m`` multiplies
 by it. ``_omega_matrix`` is omega on the m basis, S C S^-1 from the s
 matrix S and the conjugation of partitions C; ``qsym.omega`` applies it
-to m-basis inputs.
+to m-basis inputs. Both products read the matrix's nonzero entries
+column by column from ``_columns``, built once per (n, matrix).
 
 The M-basis route, ``generator`` built from ``quasi_shuffle`` and
 ``kostka_bruteforce``, is kept here as the oracle for every column; the
@@ -234,15 +235,26 @@ def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
     return QSymElement(x.n, target, dict(zip(parts, sol)))
 
 
-def _apply(x: QSymElement, parts: tuple, matrix: tuple, basis: str) -> QSymElement:
-    """sum_j x[parts[j]] * (column j of matrix), in ``basis``: one pass
-    over the columns of a cached partition-space matrix."""
+@lru_cache(maxsize=None)
+def _columns(n: int, matrix: str) -> Mapping:
+    """lam_j -> the pairs (lam_i, entry) of the nonzero entries of column
+    j of a cached matrix of degree n: ``_transition_matrix(n, matrix)``
+    for e, h, p or s, ``_omega_matrix(n)`` for "omega"."""
+    parts, rows = _omega_matrix(n) if matrix == "omega" else _transition_matrix(n, matrix)
+    return MappingProxyType({
+        lam: tuple((mu, row[j]) for mu, row in zip(parts, rows) if row[j])
+        for j, lam in enumerate(parts)
+    })
+
+
+def _apply(x: QSymElement, matrix: str, basis: str) -> QSymElement:
+    """sum_j x[lam_j] * (column j of a cached matrix), in ``basis``: one
+    pass over the nonzero entries of the columns ``_columns`` holds."""
+    columns = _columns(x.n, matrix)
     acc = {}
     for lam, c in x.terms.items():
-        j = parts.index(lam)
-        for mu, row in zip(parts, matrix):
-            if row[j]:
-                _add_scaled(acc, mu, c, row[j])
+        for mu, v in columns[lam]:
+            _add_scaled(acc, mu, c, v)
     return _freeze(x.n, basis, acc)
 
 
@@ -253,7 +265,7 @@ def contract_to_m(x: QSymElement) -> QSymElement:
         raise ValueError(f"contract_to_m expects a symmetric basis, not {x.basis!r}")
     if x.basis == "m":
         return x
-    return _apply(x, *_transition_matrix(x.n, x.basis), "m")
+    return _apply(x, x.basis, "m")
 
 
 @lru_cache(maxsize=None)

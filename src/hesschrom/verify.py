@@ -64,7 +64,7 @@ def verify_sw_betti(
     """Check betti_vector(m, lam)(2d) == c_{d, lam}(m) for every lam, d:
     the tableau pipeline against the qsym pipeline."""
     check_bound(m.n, max_n, force)
-    wx = omega_x_of(m)
+    wx = omega_x_of(m, force=True)
     report = Report("sw")
     for lam, bv in betti_vectors(m, max_n, force).items():
         bv = bv.as_dict()
@@ -202,7 +202,7 @@ def suite_palindromic(report: Report, max_n: int = 6):
             report.checked += 1
             if q != q.reciprocal():
                 report.record(f"m={m}, lambda={lam}", "palindromic", str(q))
-        x = x_of(m)
+        x = x_of(m, force=True)
         for lam, poly in x.terms.items():
             report.checked += 1
             if poly != poly.reciprocal().shifted(w):
@@ -257,7 +257,7 @@ def suite_character(report: Report, max_n: int = 6):
     """Integrality, Frobenius reconstruction, and the dimension identity
     chi(1^n) = beta_{2d}(m, (1^n))."""
     for m in _all_hessenberg(max_n):
-        wx = omega_x_of(m)
+        wx = omega_x_of(m, force=True)
         column = Partition((1,) * m.n)
         bv = betti_vector(m, column, force=True).as_dict()
         for d in range(weight(m) + 1):

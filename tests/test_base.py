@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,32 @@ class TestTPoly:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+
+    @given(
+        st.dictionaries(
+            st.integers(-4, 4),
+            st.fractions(max_denominator=6).filter(bool),
+            max_size=5,
+        ).map(TPoly),
+        polys,
+    )
+    def test_subtraction_is_adding_the_negative(self, a, b):
+        """One-pass subtraction, with Fraction coefficients and negative
+        exponents, against the negate-then-add route it replaced."""
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert x - y == x + (-y)
+            assert (x - y).terms == (x + (-y)).terms
+            assert all(c for c in (x - y).terms.values())
+        assert not (a - a) and (a - a).terms == {}
+        assert 2 - a == TPoly.const(2) + (-a)
+        assert Fraction(1, 3) - a == -(a - Fraction(1, 3))
+
+    def test_subtraction_leaves_operands_alone(self):
+        p, q = TPoly({-1: Fraction(1, 2), 0: 3}), TPoly({-1: Fraction(1, 2), 2: -1})
+        assert p - q == TPoly({0: 3, 2: 1})
+        assert p.terms == {-1: Fraction(1, 2), 0: 3} and q.terms == {-1: Fraction(1, 2), 2: -1}
+        assert TPoly.__sub__(p, "x") is NotImplemented
+        assert TPoly.__rsub__(p, "x") is NotImplemented
 
 
 compositions_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(
@@ -127,6 +154,30 @@ class TestEnumeration:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
         for n, e in enumerate(expected):
             assert len(list(partitions(n))) == e
+
+    def test_partitions_gives_a_fresh_iterator_per_call(self):
+        first = partitions(5)
+        assert next(first).parts == (5,)
+        list(first)
+        assert next(first, None) is None
+        again = partitions(5)
+        assert again is not first
+        assert [p.parts for p in again] == [p.parts for p in partitions(5)]
+        assert len(list(partitions(5))) == 7
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_partitions_with_max_part(self, n):
+        """partitions(n, k) is partitions(n) cut to parts at most k."""
+        whole = list(partitions(n))
+        for k in range(n + 2):
+            assert list(partitions(n, k)) == [lam for lam in whole if lam.n == 0 or lam.parts[0] <= k]
+        assert list(partitions(n, n)) == whole == list(partitions(n, n + 3))
+
+    def test_partitions_are_valid_partitions(self):
+        for n in range(9):
+            for lam in partitions(n):
+                assert type(lam) is Partition and Partition(lam.parts) == lam
+        assert list(partitions(-1)) == [] and list(partitions(3, 0)) == []
 
     @pytest.mark.parametrize("n", range(10))
     def test_rearrangements_are_the_distinct_permutations(self, n):

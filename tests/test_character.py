@@ -15,6 +15,7 @@ from hesschrom.character import (
     irreducible_multiplicities,
     omega_x_of,
     schur_positivity_report,
+    x_of,
 )
 from hesschrom.chromatic import chromatic_qsym
 from hesschrom.hessenberg import (
@@ -147,6 +148,17 @@ class TestPositivityReports:
         with pytest.raises(BoundExceededError):
             schur_positivity_report(m, max_n=3)
         assert schur_positivity_report(m, max_n=3, force=True).ok
+
+    @pytest.mark.parametrize("cached", [x_of, omega_x_of])
+    def test_x_of_size_guard(self, cached):
+        m = new_hessenberg(9, tuple(range(2, 10)))
+        with pytest.raises(BoundExceededError):
+            cached(m)
+        with pytest.raises(BoundExceededError):
+            cached(new_hessenberg(4, (2, 3, 4)), max_n=3)
+        x = cached(m, force=True)
+        assert x.n == 9 and x.basis == "m" and x
+        assert cached(m, max_n=9) == x
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_staircase_e_positive(self, n):

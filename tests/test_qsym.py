@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesschrom import qsym, sym
-from hesschrom.base import Composition, Partition, TPoly, compositions, partitions, rearrangements
+from hesschrom.base import (
+    Composition,
+    DegreeMismatchError,
+    Partition,
+    TPoly,
+    compositions,
+    partitions,
+    rearrangements,
+)
 from hesschrom.cli import run
 from hesschrom.qsym import (
     NotSymmetricError,
@@ -255,6 +263,21 @@ class TestTransitionMatrix:
             column = to_m_basis(generator(target, lam))
             assert [row[j] for row in matrix] == [column.coeff(mu).coeff(0) for mu in parts]
 
+    @pytest.mark.parametrize("matrix", ["e", "h", "p", "s", "omega"])
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_column_map_holds_the_nonzero_columns(self, matrix, n):
+        """``_apply`` reads ``_columns``: each partition's column of the
+        cached matrix, zeros left out, rows in the matrix's order."""
+        parts, rows = sym._omega_matrix(n) if matrix == "omega" else sym._transition_matrix(n, matrix)
+        columns = sym._columns(n, matrix)
+        assert list(columns) == list(parts)
+        for j, lam in enumerate(parts):
+            assert columns[lam] == tuple((mu, row[j]) for mu, row in zip(parts, rows) if row[j])
+            assert all(v for _, v in columns[lam])
+        assert sym._columns(n, matrix) is columns
+        with pytest.raises(TypeError):
+            columns[parts[0]] = ()
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_kostka_matches_bruteforce(self, n):
         for lam in partitions(n):
@@ -340,6 +363,44 @@ class TestNoMBasisRoute:
             argv = ["xg", "--m", m, "--basis", basis, "--json"]
             assert run(argv) == 0
             assert capsys.readouterr().out == GOLDEN[" ".join(argv)]
+
+
+class TestConstruction:
+    """``QSymElement`` coerces each coefficient once, adds only where a key
+    repeats, and drops zeros."""
+
+    def test_repeated_key_merges(self):
+        lam = Partition((2, 1))
+        x = QSymElement(3, "m", [(lam, 1), (Partition((3,)), TPoly({1: 2})), (lam, TPoly({1: 4}))])
+        assert dict(x.terms) == {lam: TPoly({0: 1, 1: 4}), Partition((3,)): TPoly({1: 2})}
+
+    def test_repeat_that_cancels_drops_the_key(self):
+        alpha = Composition((1, 2))
+        x = QSymElement(3, "M", [(alpha, TPoly({-1: Fraction(1, 2)})), (alpha, TPoly({-1: Fraction(-1, 2)}))])
+        assert dict(x.terms) == {} and not x
+        y = QSymElement(3, "M", [(alpha, 2), (alpha, -2), (alpha, 5)])
+        assert dict(y.terms) == {alpha: TPoly.const(5)}
+
+    def test_zero_in_a_dict_is_dropped(self):
+        x = QSymElement(2, "m", {Partition((2,)): 0, Partition((1, 1)): TPoly(), })
+        assert dict(x.terms) == {}
+        y = QSymElement(2, "m", {Partition((2,)): Fraction(0), Partition((1, 1)): Fraction(1, 3)})
+        assert dict(y.terms) == {Partition((1, 1)): TPoly.const(Fraction(1, 3))}
+
+    def test_coefficients_are_made_tpolys(self):
+        x = QSymElement(2, "m", {Partition((2,)): 3, Partition((1, 1)): Fraction(1, 2)})
+        assert all(type(c) is TPoly for c in x.terms.values())
+        assert x.coeff(Partition((2,))).terms == {0: 3}
+
+    @pytest.mark.parametrize("terms", [
+        {Partition((1, 1)): 1},
+        [(Partition((2, 1)), 1), (Partition((2,)), 1)],
+    ])
+    def test_wrong_degree_raises(self, terms):
+        with pytest.raises(DegreeMismatchError, match="partition"):
+            QSymElement(3, "m", terms)
+        with pytest.raises(DegreeMismatchError, match="composition"):
+            QSymElement(3, "M", [(Composition(lam.parts), c) for lam, c in dict(terms).items()])
 
 
 class TestBasisValidation:

@@ -34,8 +34,8 @@ def test_sw_names_m_lambda_and_d(monkeypatch):
     d = next(iter(poly.terms))
     bump = QSymElement(TARGET.n, "m", {lam: TPoly({d: 1})})
 
-    def corrupted(m):
-        wx = real(m)
+    def corrupted(m, **kwargs):
+        wx = real(m, **kwargs)
         return wx + bump if m == TARGET else wx
 
     monkeypatch.setattr(verify, "omega_x_of", corrupted)
@@ -49,8 +49,8 @@ def test_epos_names_m_lambda_and_degree(monkeypatch):
     clean = verify.suite_epos(max_n=3)
     real = character.x_of
 
-    def corrupted(m):
-        x = real(m)
+    def corrupted(m, **kwargs):
+        x = real(m, **kwargs)
         return x.scaled(-1) if m == TARGET else x
 
     monkeypatch.setattr(character, "x_of", corrupted)
