@@ -88,10 +88,11 @@ class QSymElement(_Frozen):
     hashed nor pickled, so ``__hash__`` and ``__reduce__`` read it as a
     frozenset and a dict.
 
-    Construction takes one pass: each coefficient is made a TPoly once and
-    kept as it is (TPolys are immutable, so it is not copied), zeros are
-    dropped, and coefficients are added only where an iterable of pairs
-    repeats a key.
+    Construction takes one pass: each coefficient is made a TPoly once,
+    zeros are dropped, and coefficients are added only where an iterable of
+    pairs repeats a key.  A TPoly coefficient that is not added to is kept
+    as it is, not copied: the element shares it with the caller, so a
+    TPoly's ``terms`` must not be mutated once it is passed in.
     """
 
     __slots__ = _fields = ("n", "basis", "terms")

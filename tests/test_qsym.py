@@ -392,6 +392,14 @@ class TestConstruction:
         assert all(type(c) is TPoly for c in x.terms.values())
         assert x.coeff(Partition((2,))).terms == {0: 3}
 
+    def test_a_single_tpoly_is_shared_and_a_sum_is_new(self):
+        lam, mu = Partition((2, 1)), Partition((3,))
+        p, q = TPoly({1: 2}), TPoly({0: 1})
+        x = QSymElement(3, "m", [(lam, p), (mu, q), (mu, q)])
+        assert x.terms[lam] is p
+        assert x.terms[mu] == TPoly({0: 2}) and x.terms[mu] is not q
+        assert q.terms == {0: 1}
+
     @pytest.mark.parametrize("terms", [
         {Partition((1, 1)): 1},
         [(Partition((2, 1)), 1), (Partition((2,)), 1)],
