@@ -1,6 +1,7 @@
 """Exact primitives: Laurent polynomials in t, compositions with their bar
-calculus, integer partitions, and permutations with cycle types; and the
-Report that every check returns.
+calculus, integer partitions, and permutations with cycle types; the
+Report that every check returns; and the size guard that every
+exponential entry point declares with ``@guarded``.
 
 All values but Reports are immutable after construction and all
 arithmetic is exact: arbitrary-precision integers, and Fractions inside
@@ -25,7 +26,7 @@ the dataclass decorators on eleven classes a few ms more, although
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import WRAPPER_ASSIGNMENTS, lru_cache, wraps
 from math import factorial
 from numbers import Rational
 
@@ -47,6 +48,32 @@ def check_bound(n: int, max_n: int = DEFAULT_MAX_N, force: bool = False) -> None
             f"size {n} exceeds the enumeration guard ({max_n}); "
             f"pass force=True (or --force) to override"
         )
+
+
+# help() shows the signature of the guarded function, so the guard's
+# keywords are named in the docstring instead
+_GUARD_DOC = """
+
+    Size guard: raises ``BoundExceededError`` if n exceeds the keyword
+    ``max_n`` (default ``DEFAULT_MAX_N``), unless ``force=True``."""
+
+
+def guarded(fn):
+    """Give fn the size guard.  The wrapper takes fn's arguments plus the
+    keywords ``max_n`` (default ``DEFAULT_MAX_N``) and ``force`` (default
+    False), runs ``check_bound`` on the size ``n`` of the first argument,
+    and then calls fn with its own arguments only: an ``lru_cache`` under
+    the guard is keyed on them alone, and the wrapper forwards its
+    ``cache_info`` and ``cache_clear``.  Callers inside the package pass
+    ``force=True`` once their own entry point has checked."""
+
+    @wraps(fn, assigned=WRAPPER_ASSIGNMENTS + ("cache_info", "cache_clear"))
+    def run(arg, /, *args, max_n: int = DEFAULT_MAX_N, force: bool = False, **kwargs):
+        check_bound(arg.n, max_n, force)
+        return fn(arg, *args, **kwargs)
+
+    run.__doc__ = (fn.__doc__ or "") + _GUARD_DOC
+    return run
 
 
 class FrozenInstanceError(AttributeError):

@@ -32,15 +32,7 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .base import (
-    DEFAULT_MAX_N,
-    Partition,
-    TPoly,
-    _Frozen,
-    check_bound,
-    is_palindromic,
-    partitions,
-)
+from .base import Partition, TPoly, _Frozen, guarded, is_palindromic, partitions
 from .hessenberg import HessenbergFunction, weight
 
 
@@ -78,16 +70,11 @@ class BettiVector(_Frozen):
         return TPoly({deg: c for deg, c in self.values})
 
 
-def admissible_tableaux(
-    m: HessenbergFunction,
-    lam: Partition,
-    max_n: int = DEFAULT_MAX_N,
-    force: bool = False,
-):
+@guarded
+def admissible_tableaux(m: HessenbergFunction, lam: Partition):
     """All fillings with k immediately left of j only if k <= m_j."""
     if lam.n != m.n:
         raise ValueError(f"{lam} is not a partition of {m.n}")
-    check_bound(m.n, max_n, force)
     shape = lam.parts
     out = []
     for perm in itertools.permutations(range(1, m.n + 1)):
@@ -208,54 +195,39 @@ def _walk(m: HessenbergFunction, path=None) -> dict:
     return vectors
 
 
-def betti_vector(
-    m: HessenbergFunction,
-    lam: Partition,
-    max_n: int = DEFAULT_MAX_N,
-    force: bool = False,
-) -> BettiVector:
+@guarded
+def betti_vector(m: HessenbergFunction, lam: Partition) -> BettiVector:
     """Count admissible tableaux of shape lam by unified dimension, one
     reading-order position at a time: the one path of lam's row lengths
     through the walk of ``betti_vectors``."""
     if lam.n != m.n:
         raise ValueError(f"{lam} is not a partition of {m.n}")
-    check_bound(m.n, max_n, force)
     return _walk(m, lam.parts[::-1])[lam.parts]
 
 
-def betti_vectors(
-    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> dict:
+@guarded
+def betti_vectors(m: HessenbergFunction) -> dict:
     """lambda -> ``betti_vector(m, lambda)`` for every partition lambda of
     n, in reverse lexicographic order, from one walk over the trie of row
     lengths that shares each open row among every length that closes it."""
-    check_bound(m.n, max_n, force)
     vectors = _walk(m)
     return {lam: vectors[lam.parts] for lam in partitions(m.n)}
 
 
-def betti_vector_bruteforce(
-    m: HessenbergFunction,
-    lam: Partition,
-    max_n: int = DEFAULT_MAX_N,
-    force: bool = False,
-) -> BettiVector:
+@guarded
+def betti_vector_bruteforce(m: HessenbergFunction, lam: Partition) -> BettiVector:
     """Oracle for ``betti_vector``: filter all n! fillings, then sum
     Tymoczko's two-case ``cell_dimension`` over the admissible ones."""
     counts = {}
-    for t in admissible_tableaux(m, lam, max_n, force):
+    for t in admissible_tableaux(m, lam, force=True):
         d = cell_dimension(t, m)
         counts[2 * d] = counts.get(2 * d, 0) + 1
     return BettiVector(tuple(sorted(counts.items())), weight(m))
 
 
-def check_palindromic(
-    m: HessenbergFunction,
-    lam: Partition,
-    max_n: int = DEFAULT_MAX_N,
-    force: bool = False,
-) -> bool:
+@guarded
+def check_palindromic(m: HessenbergFunction, lam: Partition) -> bool:
     """Palindromicity of q(t) = sum_i beta_i t^(i - |m|) about 0."""
-    bv = betti_vector(m, lam, max_n, force)
+    bv = betti_vector(m, lam, force=True)
     q = bv.poincare().shifted(-bv.weight)
     return is_palindromic(q, 0)

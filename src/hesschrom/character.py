@@ -13,16 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .base import (
-    DEFAULT_MAX_N,
-    Partition,
-    Permutation,
-    Report,
-    _Frozen,
-    check_bound,
-    partitions,
-    z_of,
-)
+from .base import Partition, Permutation, Report, _Frozen, guarded, partitions, z_of
 from .chromatic import chromatic_qsym
 from .hessenberg import HessenbergFunction, incomparability_graph, weight
 from .qsym import QSymElement, omega, to_m_basis
@@ -61,36 +52,27 @@ class ClassFunction(_Frozen):
         return self(Partition((1,) * self.n))
 
 
-# The lru keys of x_of and omega_x_of hold max_n and force as they were
-# passed. Every caller inside the package checks the bound first and passes
-# force=True alone, so each m has one cache entry.
-
-
+@guarded
 @lru_cache(maxsize=None)
-def x_of(
-    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> QSymElement:
+def x_of(m: HessenbergFunction) -> QSymElement:
     """X_{G(m)}(t) in the monomial symmetric basis."""
-    check_bound(m.n, max_n, force)
     return to_m_basis(chromatic_qsym(incomparability_graph(m), "asc", force=True))
 
 
+@guarded
 @lru_cache(maxsize=None)
-def omega_x_of(
-    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> QSymElement:
+def omega_x_of(m: HessenbergFunction) -> QSymElement:
     """omega X_{G(m)}(t) in the monomial symmetric basis: the cached
     integer matrix of omega on the m basis of degree n (``omega`` on an
     m-basis input) times ``x_of(m)``, with no second ``chromatic_qsym``
     and no M-basis omega over the 3^(n-1) terms of its expansion.
     ``to_m_basis(omega(chromatic_qsym(...)))`` is the oracle."""
-    check_bound(m.n, max_n, force)
     return omega(x_of(m, force=True))
 
 
-def c_coeffs(m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False):
+@guarded
+def c_coeffs(m: HessenbergFunction):
     """(d, lambda) -> coefficient of t^d m_lambda in omega X_{G(m)}(t)."""
-    check_bound(m.n, max_n, force)
     wx = omega_x_of(m, force=True)
     out = {}
     for lam, poly in wx.terms.items():
@@ -99,23 +81,19 @@ def c_coeffs(m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = Fa
     return out
 
 
-def _degree_slice(
-    m: HessenbergFunction, d: int, max_n: int, force: bool
-) -> QSymElement:
-    """The t^d slice of omega X_{G(m)}(t), after the size guard and a check
-    that d is a degree of H^*(Hess(m))."""
-    check_bound(m.n, max_n, force)
+def _degree_slice(m: HessenbergFunction, d: int) -> QSymElement:
+    """The t^d slice of omega X_{G(m)}(t), after a check that d is a degree
+    of H^*(Hess(m))."""
     if not 0 <= d <= weight(m):
         raise ValueError(f"d={d} outside 0..{weight(m)}")
     return omega_x_of(m, force=True).t_slice(d)
 
 
-def dot_character(
-    m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> ClassFunction:
+@guarded
+def dot_character(m: HessenbergFunction, d: int) -> ClassFunction:
     """Character values on cycle types: chi(mu) = z_mu * [p_mu] f, where
     f is the t^d slice of omega X_{G(m)}(t)."""
-    in_p = expand_in_basis(_degree_slice(m, d, max_n, force), "p")
+    in_p = expand_in_basis(_degree_slice(m, d), "p")
     values = []
     for mu in partitions(m.n):
         coeff = in_p.coeff(mu).coeff(0)
@@ -130,19 +108,17 @@ def frobenius_image(chi: ClassFunction) -> QSymElement:
     )
 
 
-def fixed_space_dims(
-    m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
-):
+@guarded
+def fixed_space_dims(m: HessenbergFunction, d: int):
     """lambda -> c_{d,lambda}(m), the S_lambda-fixed subspace dimensions."""
-    f = _degree_slice(m, d, max_n, force)
+    f = _degree_slice(m, d)
     return {lam: f.coeff(lam).coeff(0) for lam in partitions(m.n)}
 
 
-def irreducible_multiplicities(
-    m: HessenbergFunction, d: int, max_n: int = DEFAULT_MAX_N, force: bool = False
-):
+@guarded
+def irreducible_multiplicities(m: HessenbergFunction, d: int):
     """lambda -> coefficient of s_lambda in the t^d slice of omega X."""
-    in_s = expand_in_basis(_degree_slice(m, d, max_n, force), "s")
+    in_s = expand_in_basis(_degree_slice(m, d), "s")
     return {
         lam: _as_int(in_s.coeff(lam).coeff(0), f"mult({lam})")
         for lam in partitions(m.n)
@@ -179,11 +155,9 @@ def _negativity_report(suite: str, m: HessenbergFunction, triples) -> Report:
     return report
 
 
-def e_positivity_report(
-    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> Report:
+@guarded
+def e_positivity_report(m: HessenbergFunction) -> Report:
     """Expand X_{G(m)}(t) in the e basis per t-degree; record negatives."""
-    check_bound(m.n, max_n, force)
     in_e = expand_in_basis(x_of(m, force=True), "e")
     triples = (
         (lam, d, _as_int(poly.coeff(d), f"e-coefficient at {lam}, t^{d}"))
@@ -193,15 +167,13 @@ def e_positivity_report(
     return _negativity_report("epos", m, triples)
 
 
-def schur_positivity_report(
-    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> Report:
+@guarded
+def schur_positivity_report(m: HessenbergFunction) -> Report:
     """Schur multiplicities of omega X_{G(m)}(t), all t-degrees; record
     negatives."""
-    check_bound(m.n, max_n, force)
     triples = (
         (lam, d, mult)
         for d in range(weight(m) + 1)
-        for lam, mult in irreducible_multiplicities(m, d, max_n, force).items()
+        for lam, mult in irreducible_multiplicities(m, d, force=True).items()
     )
     return _negativity_report("schur", m, triples)

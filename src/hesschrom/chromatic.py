@@ -20,7 +20,7 @@ X_{G(m)} = Xi_{D(m)} compares two independent computations."""
 
 from __future__ import annotations
 
-from .base import Composition, DEFAULT_MAX_N, TPoly, check_bound
+from .base import Composition, TPoly, guarded
 from .hessenberg import Graph
 from .qsym import QSymElement, _unpack
 
@@ -39,11 +39,9 @@ def _stable_subsets(vertices, graph: Graph):
             yield frozenset(block)
 
 
-def stable_ordered_partitions(
-    graph: Graph, max_n: int = DEFAULT_MAX_N, force: bool = False
-):
+@guarded
+def stable_ordered_partitions(graph: Graph):
     """All ordered partitions of V(G) into stable blocks."""
-    check_bound(len(graph.vertices), max_n, force)
     out = []
 
     def rec(remaining, prefix):
@@ -76,15 +74,13 @@ def _stat_of_partition(blocks, graph: Graph, stat: str) -> int:
     return count
 
 
-def chromatic_qsym(
-    graph: Graph, stat: str = "asc", max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> QSymElement:
+@guarded
+def chromatic_qsym(graph: Graph, stat: str = "asc") -> QSymElement:
     """X_G(x,t) in the M basis, by the subset DP of the module docstring."""
     if stat not in ("asc", "des"):
         raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
     vs = sorted(graph.vertices)
     n = len(vs)
-    check_bound(n, max_n, force)
     index = {v: i for i, v in enumerate(vs)}
     nbrs = [0] * n
     for e in graph.edges:
@@ -129,15 +125,14 @@ def chromatic_qsym(
     return _unpack(n, states[full])
 
 
-def chromatic_qsym_bruteforce(
-    graph: Graph, stat: str = "asc", max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> QSymElement:
+@guarded
+def chromatic_qsym_bruteforce(graph: Graph, stat: str = "asc") -> QSymElement:
     """Oracle for ``chromatic_qsym``: sum the statistic over every
     stable ordered partition."""
     if stat not in ("asc", "des"):
         raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
     acc = {}
-    for blocks in stable_ordered_partitions(graph, max_n, force):
+    for blocks in stable_ordered_partitions(graph, force=True):
         d = _stat_of_partition(blocks, graph, stat)
         slot = acc.setdefault(tuple(len(b) for b in blocks), {})
         slot[d] = slot.get(d, 0) + 1

@@ -28,6 +28,10 @@ class Graph(_Frozen):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
+
     def has_edge(self, u, v) -> bool:
         return frozenset((u, v)) in self.edges
 
@@ -42,6 +46,10 @@ class Digraph(_Frozen):
                 raise ValueError(f"bad directed edge {(u, v)}")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices)
 
     def has_edge(self, u, v) -> bool:
         return (u, v) in self.edges
@@ -66,11 +74,15 @@ class HessenbergFunction(_Frozen):
 
     def __init__(self, n: int, m: tuple):
         m = tuple(m)
+        if not isinstance(n, int):
+            raise HessenbergValidationError(0, f"n={n!r} is not an integer")
         if n < 1 or len(m) != n - 1:
             raise HessenbergValidationError(
                 0, f"need exactly n-1={n - 1} values, got {len(m)}"
             )
         for i, v in enumerate(m, start=1):
+            if not isinstance(v, int):
+                raise HessenbergValidationError(i, f"m_{i}={v!r} is not an integer")
             if v < i:
                 raise HessenbergValidationError(i, f"m_{i}={v} violates m_i >= i")
             if v > n:

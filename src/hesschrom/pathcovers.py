@@ -15,7 +15,7 @@ Xi_{D(m)} = X_{G(m)} compares two independent computations."""
 
 from __future__ import annotations
 
-from .base import Composition, DEFAULT_MAX_N, Report, TPoly, _Frozen, check_bound
+from .base import Composition, Report, TPoly, _Frozen, guarded
 from .hessenberg import Digraph, HessenbergFunction, complement, digraph
 from .pathqsym import path_qsym
 from .qsym import QSymElement, omega
@@ -53,11 +53,9 @@ def _covers(remaining, d: Digraph):
                 yield (path,) + tail
 
 
-def ordered_path_covers(
-    d: Digraph, max_n: int = DEFAULT_MAX_N, force: bool = False
-):
+@guarded
+def ordered_path_covers(d: Digraph):
     """All ordered path covers of d, deterministic order."""
-    check_bound(len(d.vertices), max_n, force)
     out = []
     for paths in _covers(frozenset(d.vertices), d):
         q = tuple(v for path in paths for v in path)
@@ -98,15 +96,14 @@ def sequencing_stat(q: tuple, d: Digraph, stat: str = "asc") -> int:
     return count
 
 
-def path_qsym_bruteforce(
-    d: Digraph, stat: str = "asc", max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> QSymElement:
+@guarded
+def path_qsym_bruteforce(d: Digraph, stat: str = "asc") -> QSymElement:
     """Oracle for ``path_qsym``: sum the statistic over every ordered
     path cover."""
     if stat not in ("asc", "des"):
         raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
     acc = {}
-    for cover in ordered_path_covers(d, max_n, force):
+    for cover in ordered_path_covers(d, force=True):
         slot = acc.setdefault(cover.beta, {})
         e = sequencing_stat(cover.q, d, stat)
         slot[e] = slot.get(e, 0) + 1
@@ -115,15 +112,14 @@ def path_qsym_bruteforce(
     )
 
 
-def verify_reciprocity(
-    d: Digraph, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> Report:
+@guarded
+def verify_reciprocity(d: Digraph) -> Report:
     """Compare omega(Xi_D) with Xi of the complement digraph as one check.
     A failure names the first composition where they differ and the lowest
     t-exponent of the difference."""
     report = Report("reciprocity", checked=1)
-    lhs = omega(path_qsym(d, "asc", max_n, force))
-    rhs = path_qsym(complement(d), "asc", max_n, force)
+    lhs = omega(path_qsym(d, "asc", force=True))
+    rhs = path_qsym(complement(d), "asc", force=True)
     if lhs != rhs:
         keys = lhs.terms.keys() | rhs.terms.keys()
         alpha = min(
@@ -138,19 +134,14 @@ def verify_reciprocity(
     return report
 
 
-def c_via_path_covers(
-    m: HessenbergFunction,
-    alpha: Composition,
-    stat: str = "asc",
-    max_n: int = DEFAULT_MAX_N,
-    force: bool = False,
-):
+@guarded
+def c_via_path_covers(m: HessenbergFunction, alpha: Composition, stat: str = "asc"):
     """d -> number of ordered path covers (q, alpha) of the complement of
     D(m) with the chosen statistic equal to d: the [M_alpha] coefficient
     of ``path_qsym`` on that complement."""
     if alpha.n != m.n:
         raise ValueError(f"{alpha} is not a composition of {m.n}")
-    xi = path_qsym(complement(digraph(m)), stat, max_n, force)
+    xi = path_qsym(complement(digraph(m)), stat, force=True)
     return dict(xi.coeff(alpha).terms)
 
 

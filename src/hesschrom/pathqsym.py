@@ -21,20 +21,18 @@ Xi_{D(m)} = X_{G(m)} compares two independent computations."""
 
 from __future__ import annotations
 
-from .base import DEFAULT_MAX_N, check_bound
+from .base import guarded
 from .hessenberg import Digraph
 from .qsym import QSymElement, _unpack
 
 
-def path_qsym(
-    d: Digraph, stat: str = "asc", max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> QSymElement:
+@guarded
+def path_qsym(d: Digraph, stat: str = "asc") -> QSymElement:
     """Xi_D(x,t) in the M basis, by the subset DP of the module docstring."""
     if stat not in ("asc", "des"):
         raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
     vs = sorted(d.vertices)
     n = len(vs)
-    check_bound(n, max_n, force)
     index = {v: i for i, v in enumerate(vs)}
     succ = [0] * n
     for u, v in d.edges:

@@ -21,7 +21,7 @@ import math
 import random
 import time
 
-from .base import DEFAULT_MAX_N, Partition, Report, check_bound, compositions, partitions
+from .base import Partition, Report, compositions, guarded, partitions
 from .betti import (
     admissible_tableaux,
     betti_vector,
@@ -58,15 +58,13 @@ from .qsym import QSymElement, f_to_m, is_symmetric, omega
 from .sym import generator
 
 
-def verify_sw_betti(
-    m: HessenbergFunction, max_n: int = DEFAULT_MAX_N, force: bool = False
-) -> Report:
+@guarded
+def verify_sw_betti(m: HessenbergFunction) -> Report:
     """Check betti_vector(m, lam)(2d) == c_{d, lam}(m) for every lam, d:
     the tableau pipeline against the qsym pipeline."""
-    check_bound(m.n, max_n, force)
     wx = omega_x_of(m, force=True)
     report = Report("sw")
-    for lam, bv in betti_vectors(m, max_n, force).items():
+    for lam, bv in betti_vectors(m, force=True).items():
         bv = bv.as_dict()
         c = wx.coeff(lam)
         for d in sorted(c.terms.keys() | {deg // 2 for deg in bv}):
@@ -217,14 +215,14 @@ def suite_palindromic(report: Report, max_n: int = 6):
 def suite_epos(report: Report, max_n: int = 6):
     """e-positivity scan of X_{G(m)}(t) (conjecture-scale evidence only)."""
     for m in _all_hessenberg(max_n):
-        report.extend(e_positivity_report(m))
+        report.extend(e_positivity_report(m, force=True))
 
 
 @_suite
 def suite_schur(report: Report, max_n: int = 6):
     """Nonnegativity of Schur multiplicities of omega X_{G(m)}(t)."""
     for m in _all_hessenberg(max_n):
-        report.extend(schur_positivity_report(m))
+        report.extend(schur_positivity_report(m, force=True))
 
 
 @_suite
@@ -261,7 +259,7 @@ def suite_character(report: Report, max_n: int = 6):
         column = Partition((1,) * m.n)
         bv = betti_vector(m, column, force=True).as_dict()
         for d in range(weight(m) + 1):
-            chi = dot_character(m, d)  # raises IntegralityError on failure
+            chi = dot_character(m, d, force=True)  # raises IntegralityError on failure
             report.checked += 1
             if frobenius_image(chi) != wx.t_slice(d):
                 report.record(f"m={m}, d={d}", "ch(chi) = slice of omega X", "differs")

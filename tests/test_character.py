@@ -160,6 +160,16 @@ class TestPositivityReports:
         assert x.n == 9 and x.basis == "m" and x
         assert cached(m, max_n=9) == x
 
+    @pytest.mark.parametrize("cached", [x_of, omega_x_of])
+    def test_one_cache_entry_per_m(self, cached):
+        """The guard's keywords are not part of the lru key."""
+        m = new_hessenberg(4, (2, 3, 4))
+        cached.cache_clear()
+        cached(m)
+        cached(m, force=True)
+        cached(m, max_n=5)
+        assert cached.cache_info().currsize == 1
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_staircase_e_positive(self, n):
         assert e_positivity_report(staircase(n)).ok

@@ -40,6 +40,15 @@ class TestValidation:
             new_hessenberg(3, (3, 2))
         assert err.value.index == 2
 
+    @pytest.mark.parametrize(
+        "n, m, index",
+        [(3, (2.0, 3), 1), (3, (1.5, 3), 1), (3, (2, 3.0), 2), (3.0, (2, 3), 0)],
+    )
+    def test_non_integer_rejected_with_its_index(self, n, m, index):
+        with pytest.raises(HessenbergValidationError) as err:
+            new_hessenberg(n, m)
+        assert err.value.index == index
+
     def test_below_diagonal(self):
         with pytest.raises(HessenbergValidationError):
             new_hessenberg(3, (2, 1))

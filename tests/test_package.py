@@ -4,6 +4,7 @@ name, so that importing one module does not import every pipeline."""
 
 import json
 import os
+import pydoc
 import subprocess
 import sys
 import types
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import hesschrom
+from hesschrom.base import BoundExceededError, Composition, Partition
+from hesschrom.hessenberg import digraph, incomparability_graph, new_hessenberg
 
 SRC = Path(hesschrom.__file__).parent.parent
 
@@ -137,3 +140,59 @@ print(json.dumps([getattr(hesschrom, name) is wrapper, rc, len(calls)]))
 def test_patched_functions_are_what_the_package_and_cli_call(module, name, argv):
     package_sees_patch, rc, calls = fresh_python(PATCH, json.dumps([module, name, argv]))
     assert package_sees_patch and rc == 0 and calls == 1
+
+
+# Every exponential entry point, with arguments whose size n is 3.
+M3 = new_hessenberg(3, (2, 3))
+LAM3 = Partition((2, 1))
+GUARDED = [
+    ("admissible_tableaux", (M3, LAM3)),
+    ("betti_vector", (M3, LAM3)),
+    ("betti_vectors", (M3,)),
+    ("betti_vector_bruteforce", (M3, LAM3)),
+    ("check_palindromic", (M3, LAM3)),
+    ("x_of", (M3,)),
+    ("omega_x_of", (M3,)),
+    ("c_coeffs", (M3,)),
+    ("dot_character", (M3, 1)),
+    ("fixed_space_dims", (M3, 1)),
+    ("irreducible_multiplicities", (M3, 1)),
+    ("e_positivity_report", (M3,)),
+    ("schur_positivity_report", (M3,)),
+    ("stable_ordered_partitions", (incomparability_graph(M3),)),
+    ("chromatic_qsym", (incomparability_graph(M3),)),
+    ("chromatic_qsym_bruteforce", (incomparability_graph(M3),)),
+    ("path_qsym", (digraph(M3),)),
+    ("ordered_path_covers", (digraph(M3),)),
+    ("path_qsym_bruteforce", (digraph(M3),)),
+    ("verify_reciprocity", (digraph(M3),)),
+    ("c_via_path_covers", (M3, Composition((2, 1)))),
+    ("verify_sw_betti", (M3,)),
+    ("enumerate_hessenberg", (3,)),
+]
+
+
+@pytest.mark.parametrize("name, args", GUARDED, ids=[name for name, _ in GUARDED])
+def test_every_entry_point_keeps_the_one_size_guard(name, args):
+    """max_n = n - 1 raises, force=True lifts it, and help() names both."""
+    fn = getattr(hesschrom, name)
+    with pytest.raises(BoundExceededError):
+        fn(*args, max_n=2)
+    assert fn(*args, max_n=2, force=True) == fn(*args)
+    text = pydoc.render_doc(fn, renderer=pydoc.plaintext)
+    assert "max_n" in text and "force" in text
+
+
+def test_guarded_table_lists_every_guarded_name():
+    guarded = {n for n in PUBLIC if "Size guard:" in (getattr(hesschrom, n).__doc__ or "")}
+    assert guarded | {"enumerate_hessenberg"} == {name for name, _ in GUARDED}
+
+
+def test_base_loads_without_inspect():
+    """inspect costs a cold CLI request several ms."""
+    out = fresh_python(
+        "import json, sys\n"
+        "import hesschrom.base\n"
+        "print(json.dumps('inspect' in sys.modules))\n"
+    )
+    assert out is False

@@ -3,8 +3,8 @@
 Each test corrupts one dependency for exactly one input and checks that
 the suite fails, that it checked as much as on the clean run, and that
 the failure record names the input: the Hessenberg function m, or the
-draw number and seed of a random digraph.  Also: the suite registry and
-the size guard of ``verify_sw_betti``.
+draw number and seed of a random digraph.  Also: the suite registry, the
+size guard of ``verify_sw_betti``, and the per-m suites past that guard.
 """
 
 import inspect
@@ -110,6 +110,16 @@ def test_registered_suite_fills_a_timed_report_of_its_name(name):
     report = fn(max_n=1)
     assert report.suite == name
     assert type(report.elapsed_ms) is int and report.elapsed_ms >= 0
+
+
+@pytest.mark.parametrize("name", ["sw", "palindromic", "epos", "schur", "character"])
+def test_per_m_suites_run_past_the_default_guard(monkeypatch, name):
+    """A suite's max_n is its size, so a suite over an m with n = 9 must not
+    trip the default guard of the per-m calls it makes."""
+    m = new_hessenberg(9, tuple(range(2, 10)))
+    monkeypatch.setattr(verify, "_all_hessenberg", lambda max_n: iter([m]))
+    report = verify.SUITES[name](max_n=9)
+    assert report.ok
 
 
 def test_sw_betti_guards_size_before_computing(monkeypatch):
