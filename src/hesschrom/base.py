@@ -6,8 +6,9 @@ exponential entry point declares with ``@guarded``.
 All values but Reports are immutable after construction and all
 arithmetic is exact: arbitrary-precision integers, and Fractions inside
 a basis solve and in the results that keep them for good, such as a
-p-basis expansion and ``frobenius_image`` (whose m-basis coefficients are
-Fractions of denominator 1).
+p-basis expansion.  Results that are integers by theorem hold ints: the
+character readouts, and ``frobenius_image``, which sums in ints and
+divides by n! once.
 
 Value types, here and in the other modules, are hand-written slotted
 classes on the private ``_Frozen`` base below, which gives every one of
@@ -163,9 +164,11 @@ class TPoly:
     ``terms`` maps integer exponents (possibly negative) to nonzero
     coefficients.  Coefficients are ints, or Fractions: inside a linear
     solve, and for good in the results that keep them, such as a p-basis
-    expansion (``xg --m 2,3 --basis p`` prints 1/3, -1/2 and 1/6) and
-    ``frobenius_image``.  Zero coefficients are never stored, so equality
-    is term-map equality.
+    expansion (``xg --m 2,3 --basis p`` prints 1/3, -1/2 and 1/6), or
+    ``frobenius_image`` of a class function that is not a character.
+    Zero coefficients are never stored, so equality is term-map equality,
+    and a TPoly equals a scalar, and hashes like it, exactly when it is
+    constant at that scalar (the empty TPoly at 0).
     """
 
     __slots__ = ("terms",)
@@ -221,7 +224,13 @@ class TPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a TPoly equals the scalar it is constant at, so it hashes as one
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and 0 in terms:
+            return hash(terms[0])
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other):
         other = self._coerced(other)

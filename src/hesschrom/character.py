@@ -6,18 +6,34 @@ The character is computed from the proven identity (the t^d slice of
 omega X_{G(m)}(t) is the Frobenius image), not from a geometric model;
 its consistency is pinned by the two independent combinatorial routes
 (qsym pipeline vs tableau pipeline) that the verifiers compare.
+
+The readouts at degree d work on one vector: the t^d coefficients of
+``omega_x_of(m)`` in ``partitions(n)`` order. ``fixed_space_dims`` is
+that vector, and ``dot_character`` and ``irreducible_multiplicities``
+solve it against the p and s matrices with no element built in between.
+``frobenius_image`` goes back through the p matrix in ints and divides
+by n! once at the end.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .base import Partition, Permutation, Report, _Frozen, guarded, partitions, z_of
+from .base import (
+    DegreeMismatchError,
+    Partition,
+    Permutation,
+    Report,
+    _Frozen,
+    guarded,
+    partitions,
+    z_of,
+)
 from .chromatic import chromatic_qsym
 from .hessenberg import HessenbergFunction, incomparability_graph, weight
 from .qsym import QSymElement, omega, to_m_basis
-from .sym import contract_to_m, expand_in_basis
+from .sym import _columns, _solve_in_basis, expand_in_basis
 
 
 class IntegralityError(ArithmeticError):
@@ -25,11 +41,10 @@ class IntegralityError(ArithmeticError):
 
 
 def _as_int(value, context: str) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise IntegralityError(f"{context}: non-integral value {value}")
-        return int(value)
-    return value
+    """value, an int or a Fraction, as an int."""
+    if value.denominator != 1:
+        raise IntegralityError(f"{context}: non-integral value {value}")
+    return int(value)
 
 
 class ClassFunction(_Frozen):
@@ -44,6 +59,10 @@ class ClassFunction(_Frozen):
         return dict(self.values)
 
     def __call__(self, arg) -> int:
+        if arg.n != self.n:
+            raise DegreeMismatchError(
+                f"a class function of S_{self.n} read at {arg}, of size {arg.n}"
+            )
         if isinstance(arg, Permutation):
             arg = arg.cycle_type()
         return dict(self.values)[arg]
@@ -81,48 +100,63 @@ def c_coeffs(m: HessenbergFunction):
     return out
 
 
-def _degree_slice(m: HessenbergFunction, d: int) -> QSymElement:
-    """The t^d slice of omega X_{G(m)}(t), after a check that d is a degree
-    of H^*(Hess(m))."""
+def _degree_slice(m: HessenbergFunction, d: int) -> list:
+    """The m-coefficients of the t^d slice of omega X_{G(m)}(t), in
+    ``partitions(m.n)`` order, after a check that d is a degree of
+    H^*(Hess(m))."""
     if not 0 <= d <= weight(m):
         raise ValueError(f"d={d} outside 0..{weight(m)}")
-    return omega_x_of(m, force=True).t_slice(d)
+    wx = omega_x_of(m, force=True)
+    return [wx.coeff(lam).coeff(d) for lam in partitions(m.n)]
 
 
 @guarded
 def dot_character(m: HessenbergFunction, d: int) -> ClassFunction:
     """Character values on cycle types: chi(mu) = z_mu * [p_mu] f, where
     f is the t^d slice of omega X_{G(m)}(t)."""
-    in_p = expand_in_basis(_degree_slice(m, d), "p")
-    values = []
-    for mu in partitions(m.n):
-        coeff = in_p.coeff(mu).coeff(0)
-        values.append((mu, _as_int(z_of(mu) * coeff, f"chi({mu})")))
-    return ClassFunction(m.n, tuple(values))
+    in_p = _solve_in_basis(m.n, "p", _degree_slice(m, d))
+    return ClassFunction(m.n, tuple(
+        (mu, _as_int(z_of(mu) * c, f"chi({mu})")) for mu, c in zip(partitions(m.n), in_p)
+    ))
 
 
 def frobenius_image(chi: ClassFunction) -> QSymElement:
-    """ch(chi) = sum_mu chi(mu)/z_mu p_mu, returned in the m basis."""
-    return contract_to_m(
-        QSymElement(chi.n, "p", {mu: Fraction(v, z_of(mu)) for mu, v in chi.values})
-    )
+    """ch(chi) = sum_mu chi(mu)/z_mu p_mu, returned in the m basis.
+
+    Summed in ints over the cached columns of the p matrix: N_lambda =
+    sum_mu chi(mu) (n!/z_mu) [m_lambda] p_mu, where n!/z_mu is the size of
+    the class mu, and then [m_lambda] ch(chi) = N_lambda / n!, an int when
+    chi is a character. A class function that is not one may leave a
+    remainder, and that coefficient is the exact Fraction."""
+    order = factorial(chi.n)
+    columns = _columns(chi.n, "p")
+    acc = {}
+    for mu, v in chi.values:
+        scale = v * (order // z_of(mu))
+        for lam, c in columns[mu]:
+            acc[lam] = acc.get(lam, 0) + scale * c
+    out = {}
+    for lam, total in acc.items():
+        q, r = divmod(total, order)
+        if r:
+            from fractions import Fraction  # only a non-character gets here
+
+            q = Fraction(total, order)
+        out[lam] = q
+    return QSymElement(chi.n, "m", out)
 
 
 @guarded
 def fixed_space_dims(m: HessenbergFunction, d: int):
     """lambda -> c_{d,lambda}(m), the S_lambda-fixed subspace dimensions."""
-    f = _degree_slice(m, d)
-    return {lam: f.coeff(lam).coeff(0) for lam in partitions(m.n)}
+    return dict(zip(partitions(m.n), _degree_slice(m, d)))
 
 
 @guarded
 def irreducible_multiplicities(m: HessenbergFunction, d: int):
     """lambda -> coefficient of s_lambda in the t^d slice of omega X."""
-    in_s = expand_in_basis(_degree_slice(m, d), "s")
-    return {
-        lam: _as_int(in_s.coeff(lam).coeff(0), f"mult({lam})")
-        for lam in partitions(m.n)
-    }
+    in_s = _solve_in_basis(m.n, "s", _degree_slice(m, d))
+    return {lam: _as_int(c, f"mult({lam})") for lam, c in zip(partitions(m.n), in_s)}
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,9 @@ per (n, basis), ``_transition_matrix``, built on partitions alone and
 cached as tuples: Kostka numbers by adding horizontal strips (Pieri),
 h and e as sums of products of two Kostka columns, p by a memoised count
 of the merges of one partition's parts into another's.
-``expand_in_basis`` solves against it and ``contract_to_m`` multiplies
-by it. ``_omega_matrix`` is omega on the m basis, S C S^-1 from the s
+``_solve_in_basis`` solves against it, for ``expand_in_basis`` and for
+the character readouts, which pass scalar m-coefficients; ``contract_to_m``
+multiplies by it. ``_omega_matrix`` is omega on the m basis, S C S^-1 from the s
 matrix S and the conjugation of partitions C; ``qsym.omega`` applies it
 to m-basis inputs. Both products read the matrix's nonzero entries
 column by column from ``_columns``, built once per (n, matrix).
@@ -200,7 +201,8 @@ def _transition_matrix(n: int, target: str):
 
 
 def _solve_exact(matrix, rhs):
-    """Gaussian elimination with Fraction pivots; rhs entries are TPoly."""
+    """Gaussian elimination with Fraction pivots; rhs entries are scalars
+    (ints or Fractions) or TPolys, and the solution holds the same kind."""
     from fractions import Fraction  # only here, so m- and M-basis requests skip it
 
     k = len(matrix)
@@ -221,6 +223,14 @@ def _solve_exact(matrix, rhs):
     return b
 
 
+def _solve_in_basis(n: int, basis: str, rhs: list) -> list:
+    """The coefficients, in ``partitions(n)`` order, in the e, h, p or s
+    basis of the degree-n symmetric function whose m-coefficients rhs
+    lists in the same order: ``_solve_exact`` against
+    ``_transition_matrix(n, basis)``."""
+    return _solve_exact(_transition_matrix(n, basis)[1], rhs)
+
+
 def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
     """Rewrite an m-basis element exactly in the e, h, p or s basis."""
     if target not in SYM_BASES:
@@ -229,9 +239,8 @@ def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
         raise ValueError(f"expand_in_basis expects an m-basis input, not {x.basis!r}")
     if target == "m":
         return x
-    parts, matrix = _transition_matrix(x.n, target)
-    rhs = [x.coeff(lam) for lam in parts]
-    sol = _solve_exact(matrix, rhs)
+    parts = tuple(partitions(x.n))
+    sol = _solve_in_basis(x.n, target, [x.coeff(lam) for lam in parts])
     return QSymElement(x.n, target, dict(zip(parts, sol)))
 
 

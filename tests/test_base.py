@@ -23,6 +23,14 @@ polys = st.dictionaries(
     st.integers(-4, 4), st.integers(-9, 9), max_size=5
 ).map(TPoly)
 
+scalars = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=2)
+# ints, Fractions and TPolys, drawn small so that equal pairs are common
+scalars_and_polys = st.one_of(
+    scalars,
+    scalars.map(TPoly.const),
+    st.dictionaries(st.integers(-1, 1), scalars, max_size=2).map(TPoly),
+)
+
 
 class TestTPoly:
     def test_canonical_form_drops_zeros(self):
@@ -78,6 +86,22 @@ class TestTPoly:
         assert p.terms == {-1: Fraction(1, 2), 0: 3} and q.terms == {-1: Fraction(1, 2), 2: -1}
         assert TPoly.__sub__(p, "x") is NotImplemented
         assert TPoly.__rsub__(p, "x") is NotImplemented
+
+    @given(scalars_and_polys, scalars_and_polys)
+    def test_equal_values_hash_equal(self, a, b):
+        """The hash contract across TPoly, int and Fraction: a constant
+        TPoly equals its constant, and the empty TPoly equals 0."""
+        if a == b:
+            assert hash(a) == hash(b)
+        for x in (a, b):
+            if not isinstance(x, TPoly):
+                assert TPoly.const(x) == x and hash(TPoly.const(x)) == hash(x)
+
+    def test_a_constant_and_its_scalar_are_one_set_member(self):
+        assert len({TPoly.const(2), 2}) == 1
+        assert len({TPoly(), 0, Fraction(0)}) == 1
+        assert len({TPoly.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert len({TPoly({1: 2}), TPoly({0: 2}), 2}) == 2
 
 
 compositions_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(

@@ -1,12 +1,24 @@
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesschrom import sym
-from hesschrom.base import BoundExceededError, Partition, partitions
+from hesschrom.base import (
+    BoundExceededError,
+    DegreeMismatchError,
+    Partition,
+    Permutation,
+    partitions,
+    z_of,
+)
 from hesschrom.betti import betti_vector
 from hesschrom.character import (
+    ClassFunction,
     count_standard_tableaux,
     dot_character,
     e_positivity_report,
@@ -25,7 +37,8 @@ from hesschrom.hessenberg import (
     staircase,
     weight,
 )
-from hesschrom.qsym import omega, to_m_basis
+from hesschrom.qsym import QSymElement, omega, to_m_basis
+from hesschrom.sym import contract_to_m, expand_in_basis
 
 
 class TestDotCharacter:
@@ -63,6 +76,101 @@ class TestDotCharacter:
             for d in range(weight(m) + 1):
                 chi = dot_character(m, d)  # integrality enforced internally
                 assert frobenius_image(chi) == wx.t_slice(d)
+
+
+    @pytest.mark.parametrize(
+        "arg", [Partition((2, 2)), Partition((1, 1)), Permutation((2, 1, 4, 3)), Permutation((1,))]
+    )
+    def test_read_at_another_size(self, arg):
+        chi = dot_character(new_hessenberg(3, (2, 3)), 1)
+        with pytest.raises(DegreeMismatchError, match=rf"S_3 .*, of size {arg.n}$"):
+            chi(arg)
+
+
+def frobenius_image_oracle(chi):
+    """ch(chi) as a p-basis element of Fractions chi(mu)/z_mu contracted
+    to the m basis, the route ``frobenius_image`` replaced."""
+    return contract_to_m(
+        QSymElement(chi.n, "p", {mu: Fraction(v, z_of(mu)) for mu, v in chi.values})
+    )
+
+
+@lru_cache(maxsize=None)
+def young_subgroup_cycle_types(lam):
+    """Cycle type -> how many elements of the Young subgroup S_lambda of
+    S_n have it, by listing every element as a permutation of 1..n."""
+    blocks, start = [], 1
+    for part in lam.parts:
+        blocks.append(range(start, start + part))
+        start += part
+    counts = Counter()
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        counts[Permutation(sum(images, ())).cycle_type()] += 1
+    return counts
+
+
+def young_subgroup_average(chi, lam):
+    """(1/|S_lambda|) sum over w in S_lambda of chi(w): the dimension of
+    the S_lambda-fixed space, which is [m_lambda] ch(chi)."""
+    counts = young_subgroup_cycle_types(lam)
+    return Fraction(sum(k * chi(mu) for mu, k in counts.items()), sum(counts.values()))
+
+
+class TestVectorReadouts:
+    """The readouts solve the t^d coefficient vector of ``omega_x_of(m)``
+    and ``frobenius_image`` sums in ints; the t^d slice element expanded by
+    ``expand_in_basis`` and the Fraction p-basis contraction are their
+    oracles."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_readouts_match_the_slice_expansions(self, n):
+        for m in enumerate_hessenberg(n):
+            for d in range(weight(m) + 1):
+                f = omega_x_of(m).t_slice(d)
+                in_p, in_s = expand_in_basis(f, "p"), expand_in_basis(f, "s")
+                chi = dot_character(m, d)
+                assert chi.as_dict() == {
+                    mu: z_of(mu) * in_p.coeff(mu).coeff(0) for mu in partitions(n)
+                }
+                assert irreducible_multiplicities(m, d) == {
+                    lam: in_s.coeff(lam).coeff(0) for lam in partitions(n)
+                }
+                assert fixed_space_dims(m, d) == {
+                    lam: expand_in_basis(f, "m").coeff(lam).coeff(0) for lam in partitions(n)
+                }
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_frobenius_image_is_the_oracle_in_ints(self, n):
+        for m in enumerate_hessenberg(n):
+            for d in range(weight(m) + 1):
+                chi = dot_character(m, d)
+                image = frobenius_image(chi)
+                assert image == frobenius_image_oracle(chi)
+                assert all(
+                    type(c) is int for poly in image.terms.values() for c in poly.terms.values()
+                ), (m, d)
+                values = list(irreducible_multiplicities(m, d).values())
+                values += list(fixed_space_dims(m, d).values()) + [v for _, v in chi.values]
+                assert all(type(v) is int for v in values), (m, d)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_frobenius_image_is_the_young_subgroup_average(self, n):
+        for m in enumerate_hessenberg(n):
+            for d in range(weight(m) + 1):
+                chi = dot_character(m, d)
+                image = frobenius_image(chi)
+                for lam in partitions(n):
+                    assert image.coeff(lam).coeff(0) == young_subgroup_average(chi, lam)
+
+    def test_a_class_function_that_is_not_a_character(self):
+        """chi = 1 on the 3-cycles and 0 elsewhere: ch(chi) = p_3/3 = m_3/3."""
+        chi = ClassFunction(
+            3, ((Partition((3,)), 1), (Partition((2, 1)), 0), (Partition((1, 1, 1)), 0))
+        )
+        image = frobenius_image(chi)
+        assert image == QSymElement(3, "m", {Partition((3,)): Fraction(1, 3)})
+        assert image == frobenius_image_oracle(chi)
+        assert young_subgroup_average(chi, Partition((3,))) == Fraction(1, 3)
 
 
 class TestFixedSpaceDims:
