@@ -115,9 +115,10 @@ def dot_character(m: HessenbergFunction, d: int) -> ClassFunction:
     """Character values on cycle types: chi(mu) = z_mu * [p_mu] f, where
     f is the t^d slice of omega X_{G(m)}(t)."""
     in_p = _solve_in_basis(m.n, "p", _degree_slice(m, d))
-    return ClassFunction(m.n, tuple(
+    values = tuple(
         (mu, _as_int(z_of(mu) * c, f"chi({mu})")) for mu, c in zip(partitions(m.n), in_p)
-    ))
+    )
+    return ClassFunction(m.n, values)
 
 
 def frobenius_image(chi: ClassFunction) -> QSymElement:

@@ -8,11 +8,12 @@ cached as tuples: Kostka numbers by adding horizontal strips (Pieri),
 h and e as sums of products of two Kostka columns, p by a memoised count
 of the merges of one partition's parts into another's.
 ``_solve_in_basis`` solves against it, for ``expand_in_basis`` and for
-the character readouts, which pass scalar m-coefficients; ``contract_to_m``
-multiplies by it. ``_omega_matrix`` is omega on the m basis, S C S^-1 from the s
-matrix S and the conjugation of partitions C; ``qsym.omega`` applies it
-to m-basis inputs. Both products read the matrix's nonzero entries
-column by column from ``_columns``, built once per (n, matrix).
+the character readouts, which pass scalar m-coefficients;
+``contract_to_m`` multiplies by it. ``_omega_matrix`` is omega on the m
+basis, S C S^-1 from the s matrix S and the conjugation of partitions C;
+``qsym.omega`` applies it to m-basis inputs. The two products, and
+``character.frobenius_image``, read the matrix's nonzero entries column
+by column from ``_columns``, built once per (n, matrix).
 
 The M-basis route, ``generator`` built from ``quasi_shuffle`` and
 ``kostka_bruteforce``, is kept here as the oracle for every column; the
@@ -201,8 +202,9 @@ def _transition_matrix(n: int, target: str):
 
 
 def _solve_exact(matrix, rhs):
-    """Gaussian elimination with Fraction pivots; rhs entries are scalars
-    (ints or Fractions) or TPolys, and the solution holds the same kind."""
+    """Gaussian elimination with Fraction pivots. The rhs entries are
+    scalars (ints or Fractions) or TPolys; the solution holds Fractions
+    for scalars and TPolys for TPolys."""
     from fractions import Fraction  # only here, so m- and M-basis requests skip it
 
     k = len(matrix)
