@@ -24,6 +24,8 @@ from .betti import (
     betti_vectors,
     cell_dimension,
     check_palindromic,
+    reading_inversions,
+    t_inversions,
     unified_dimension,
 )
 from .character import (
@@ -57,14 +59,10 @@ from .hessenberg import (
     weight,
 )
 from .pathcovers import (
-    InvalidCoverError,
     OrderedPathCover,
     c_via_path_covers,
     ordered_path_covers,
     path_qsym_bruteforce,
-    sw_inversions_of_cover,
-    sw_to_t_bijection,
-    t_inversions_of_cover,
     verify_reciprocity,
 )
 from .pathqsym import path_qsym
@@ -79,7 +77,13 @@ from .qsym import (
     to_m_basis,
 )
 from .sym import expand_in_basis, generator, kostka, kostka_bruteforce
-from .verify import verify_sw_betti
+from .verify import (
+    InvalidCoverError,
+    sw_inversions_of_cover,
+    sw_to_t_bijection,
+    t_inversions_of_cover,
+    verify_sw_betti,
+)
 
 # only the names imported above: "from .x import" binds no module here
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,6 +16,10 @@ only the one path of its shape, at the cost of one shape.
 ``betti_vector_bruteforce`` keeps the n! permutation filter
 (``admissible_tableaux`` and ``cell_dimension``) as the oracle of both.
 
+Each inversion rule is defined once, as a set of pairs: ``t_inversions``
+and ``reading_inversions``. ``cell_dimension`` and ``unified_dimension``
+count them, and ``verify``'s SW-to-T bijection applies them to path covers.
+
 This is the tableau pipeline. It imports only ``base`` and
 ``hessenberg``, so its agreement with the qsym pipeline (``chromatic``,
 ``qsym``, ``pathqsym``, ``character``) is evidence, not tautology;
@@ -91,35 +95,49 @@ def admissible_tableaux(m: HessenbergFunction, lam: Partition):
     return out
 
 
+def t_inversions(rows, m: HessenbergFunction) -> set:
+    """Tymoczko's T-inversions of a filling whose rows, of any lengths, are
+    listed bottom row first: the pairs (i, k) with k < i and either
+    - k right of i in one row, and k last in it or i <= m_j for the entry
+      j right after k; or
+    - i in a lower row than k, and i <= m_k."""
+    cap = m.m + (m.n,)
+    out = set()
+    for row in rows:
+        for b, k in enumerate(row):
+            bound = cap[row[b + 1] - 1] if b + 1 < len(row) else m.n
+            for i in row[:b]:
+                if k < i <= bound:
+                    out.add((i, k))
+    for lo, lower in enumerate(rows):
+        for upper in rows[lo + 1 :]:
+            for k in upper:
+                for i in lower:
+                    if k < i <= cap[k - 1]:
+                        out.add((i, k))
+    return out
+
+
+def reading_inversions(word, m: HessenbergFunction) -> set:
+    """The pairs (i, k) with i before k in the word and k < i <= m_k."""
+    cap = m.m + (m.n,)
+    return {
+        (i, k)
+        for a, i in enumerate(word)
+        for k in word[a + 1 :]
+        if k < i <= cap[k - 1]
+    }
+
+
 def cell_dimension(t: Tableau, m: HessenbergFunction) -> int:
-    """Tymoczko's two-case count of inverted pairs in the filling."""
-    count = 0
-    for row in t.rows:
-        for a in range(len(row)):
-            for b in range(a + 1, len(row)):
-                i, k = row[a], row[b]
-                if k < i and (b + 1 == len(row) or i <= m.m_at(row[b + 1])):
-                    count += 1
-    for upper in range(len(t.rows)):
-        for lower in range(upper + 1, len(t.rows)):
-            for k in t.rows[upper]:
-                for i in t.rows[lower]:
-                    if k < i <= m.m_at(k):
-                        count += 1
-    return count
+    """Tymoczko's two-case count: the number of ``t_inversions``."""
+    return len(t_inversions(t.rows[::-1], m))
 
 
 def unified_dimension(t: Tableau, m: HessenbergFunction) -> int:
-    """Single-statistic form: pairs (i, k) with i before k in the
-    bottom-to-top, left-to-right reading order and k < i <= m_k."""
-    reading = [v for row in reversed(t.rows) for v in row]
-    count = 0
-    for a in range(len(reading)):
-        for b in range(a + 1, len(reading)):
-            i, k = reading[a], reading[b]
-            if k < i <= m.m_at(k):
-                count += 1
-    return count
+    """Single-statistic form: the number of ``reading_inversions`` of the
+    bottom-to-top, left-to-right reading word."""
+    return len(reading_inversions([v for row in reversed(t.rows) for v in row], m))
 
 
 def _walk(m: HessenbergFunction, path=None) -> dict:

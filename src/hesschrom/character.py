@@ -40,10 +40,10 @@ class IntegralityError(ArithmeticError):
     """A value that is an integer by theorem came out non-integral."""
 
 
-def _as_int(value, context: str) -> int:
-    """value, an int or a Fraction, as an int."""
+def _as_int(value, label: str, *args) -> int:
+    """value, an int or a Fraction, as an int; only an error formats the label."""
     if value.denominator != 1:
-        raise IntegralityError(f"{context}: non-integral value {value}")
+        raise IntegralityError(f"{label.format(*args)}: non-integral value {value}")
     return int(value)
 
 
@@ -116,7 +116,7 @@ def dot_character(m: HessenbergFunction, d: int) -> ClassFunction:
     f is the t^d slice of omega X_{G(m)}(t)."""
     in_p = _solve_in_basis(m.n, "p", _degree_slice(m, d))
     values = tuple(
-        (mu, _as_int(z_of(mu) * c, f"chi({mu})")) for mu, c in zip(partitions(m.n), in_p)
+        (mu, _as_int(z_of(mu) * c, "chi({})", mu)) for mu, c in zip(partitions(m.n), in_p)
     )
     return ClassFunction(m.n, values)
 
@@ -157,7 +157,7 @@ def fixed_space_dims(m: HessenbergFunction, d: int):
 def irreducible_multiplicities(m: HessenbergFunction, d: int):
     """lambda -> coefficient of s_lambda in the t^d slice of omega X."""
     in_s = _solve_in_basis(m.n, "s", _degree_slice(m, d))
-    return {lam: _as_int(c, f"mult({lam})") for lam, c in zip(partitions(m.n), in_s)}
+    return {lam: _as_int(c, "mult({})", lam) for lam, c in zip(partitions(m.n), in_s)}
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +195,7 @@ def e_positivity_report(m: HessenbergFunction) -> Report:
     """Expand X_{G(m)}(t) in the e basis per t-degree; record negatives."""
     in_e = expand_in_basis(x_of(m, force=True), "e")
     triples = (
-        (lam, d, _as_int(poly.coeff(d), f"e-coefficient at {lam}, t^{d}"))
+        (lam, d, _as_int(poly.coeff(d), "e-coefficient at {}, t^{}", lam, d))
         for lam, poly in in_e.sorted_terms()
         for d in poly.exponents()
     )

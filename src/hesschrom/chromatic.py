@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .base import Composition, TPoly, guarded
 from .hessenberg import Graph
-from .qsym import QSymElement, _unpack
+from .qsym import QSymElement, _check_stat, _unpack
 
 
 def _stable_subsets(vertices, graph: Graph):
@@ -77,8 +77,7 @@ def _stat_of_partition(blocks, graph: Graph, stat: str) -> int:
 @guarded
 def chromatic_qsym(graph: Graph, stat: str = "asc") -> QSymElement:
     """X_G(x,t) in the M basis, by the subset DP of the module docstring."""
-    if stat not in ("asc", "des"):
-        raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
+    _check_stat(stat)
     vs = sorted(graph.vertices)
     n = len(vs)
     index = {v: i for i, v in enumerate(vs)}
@@ -129,8 +128,7 @@ def chromatic_qsym(graph: Graph, stat: str = "asc") -> QSymElement:
 def chromatic_qsym_bruteforce(graph: Graph, stat: str = "asc") -> QSymElement:
     """Oracle for ``chromatic_qsym``: sum the statistic over every
     stable ordered partition."""
-    if stat not in ("asc", "des"):
-        raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
+    _check_stat(stat)
     acc = {}
     for blocks in stable_ordered_partitions(graph, force=True):
         d = _stat_of_partition(blocks, graph, stat)

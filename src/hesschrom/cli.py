@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
 
 from .base import DEFAULT_MAX_N, Partition, TPoly
 from .hessenberg import (
@@ -26,9 +25,6 @@ from .hessenberg import (
     enumerate_hessenberg,
     incomparability_graph,
 )
-
-if TYPE_CHECKING:
-    from .qsym import QSymElement
 
 
 def poly_json(p: TPoly):

@@ -1,24 +1,26 @@
 """Ordered path covers of a digraph, enumerated explicitly, and what is
 built on them: ``path_qsym_bruteforce``, the oracle of the subset DP
 ``pathqsym.path_qsym``; the reciprocity identity omega Xi_D =
-Xi_{D-complement} as an executable check; path-cover counts for the
-coefficients c_{d,lambda} (the [M_alpha] coefficient of Xi of the
-complement of D(m)); and the explicit SW-to-T inversion bijection on path
-covers.
+Xi_{D-complement} as an executable check; and path-cover counts for
+the coefficients c_{d,lambda} (the [M_alpha] coefficient of Xi of the
+complement of D(m)).
 
 ``path_qsym_bruteforce`` sums the statistic over ``ordered_path_covers``
 and builds its compositions without ``qsym._unpack``, so the differential
 tests against the DP also check the decoder.
 
 This module does not import ``chromatic``, nor ``chromatic`` this one:
-Xi_{D(m)} = X_{G(m)} compares two independent computations."""
+Xi_{D(m)} = X_{G(m)} compares two independent computations. Nor does it
+import ``betti``: the SW-to-T inversion bijection on path covers applies
+the tableau pipeline's inversion rules, so it lives with the suites in
+``verify``."""
 
 from __future__ import annotations
 
 from .base import Composition, Report, TPoly, _Frozen, guarded
 from .hessenberg import Digraph, HessenbergFunction, complement, digraph
 from .pathqsym import path_qsym
-from .qsym import QSymElement, omega
+from .qsym import QSymElement, _check_stat, omega
 
 
 class OrderedPathCover(_Frozen):
@@ -86,6 +88,7 @@ def _neutral_pairs(d: Digraph):
 
 def sequencing_stat(q: tuple, d: Digraph, stat: str = "asc") -> int:
     """asc q: neutral pairs u<v with v later in q; des q swaps u and v."""
+    _check_stat(stat)
     position = {v: i for i, v in enumerate(q)}
     count = 0
     for u, v in _neutral_pairs(d):
@@ -100,8 +103,7 @@ def sequencing_stat(q: tuple, d: Digraph, stat: str = "asc") -> int:
 def path_qsym_bruteforce(d: Digraph, stat: str = "asc") -> QSymElement:
     """Oracle for ``path_qsym``: sum the statistic over every ordered
     path cover."""
-    if stat not in ("asc", "des"):
-        raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
+    _check_stat(stat)
     acc = {}
     for cover in ordered_path_covers(d, force=True):
         slot = acc.setdefault(cover.beta, {})
@@ -143,85 +145,3 @@ def c_via_path_covers(m: HessenbergFunction, alpha: Composition, stat: str = "as
         raise ValueError(f"{alpha} is not a composition of {m.n}")
     xi = path_qsym(complement(digraph(m)), stat, force=True)
     return dict(xi.coeff(alpha).terms)
-
-
-# --- the SW-inversion / T-inversion bijection on path covers ------------
-#
-# Path covers fill rows from the bottom: path i goes in the i-th row from
-# the bottom of the filling, as in Tymoczko's tableau model.
-
-class InvalidCoverError(ValueError):
-    pass
-
-
-def _checked_paths(cover: OrderedPathCover, dbar: Digraph):
-    paths = cover_paths(cover)
-    for path in paths:
-        for u, v in zip(path, path[1:]):
-            if not dbar.has_edge(u, v):
-                raise InvalidCoverError(
-                    f"{u}->{v} is not an edge of the complement digraph"
-                )
-    return paths
-
-
-def t_inversions_of_cover(cover: OrderedPathCover, m: HessenbergFunction):
-    """T-inversions of the filling whose i-th row from the bottom is the
-    i-th path of the cover."""
-    paths = _checked_paths(cover, complement(digraph(m)))
-    out = set()
-    for row in paths:
-        for a in range(len(row)):
-            for b in range(a + 1, len(row)):
-                i, k = row[a], row[b]
-                if k < i and (b + 1 == len(row) or i <= m.m_at(row[b + 1])):
-                    out.add((i, k))
-    for lo in range(len(paths)):
-        for hi in range(lo + 1, len(paths)):
-            for i in paths[lo]:
-                for k in paths[hi]:
-                    if k < i <= m.m_at(k):
-                        out.add((i, k))
-    return out
-
-
-def sw_inversions_of_cover(cover: OrderedPathCover, m: HessenbergFunction):
-    """Pairs (i, k) with i earlier in the sequencing and k < i <= m_k
-    (the reduced form of the des-statistic pairs on the complement)."""
-    q = cover.q
-    out = set()
-    for a in range(len(q)):
-        for b in range(a + 1, len(q)):
-            i, k = q[a], q[b]
-            if k < i <= m.m_at(k):
-                out.add((i, k))
-    return out
-
-
-def sw_to_t_bijection(cover: OrderedPathCover, m: HessenbergFunction):
-    """Map each SW-inversion (i, k) to a T-inversion.
-
-    Cross-path pairs map to themselves.  Within a path, scan right from k
-    through its successors k_1, ..., k_r (sentinel m of infinity past the
-    end) and stop at the smallest j with i <= m_{k_{j+1}}; the image is
-    (i, k_j).
-    """
-    paths = _checked_paths(cover, complement(digraph(m)))
-    path_of, pos_in = {}, {}
-    for pi, path in enumerate(paths):
-        for idx, v in enumerate(path):
-            path_of[v] = pi
-            pos_in[v] = idx
-    mapping = {}
-    for i, k in sorted(sw_inversions_of_cover(cover, m)):
-        if path_of[i] != path_of[k]:
-            mapping[(i, k)] = (i, k)
-            continue
-        path = paths[path_of[k]]
-        succ = path[pos_in[k] + 1 :]
-        j = 0
-        chain = (k,) + succ
-        while j < len(succ) and i > m.m_at(succ[j]):
-            j += 1
-        mapping[(i, k)] = (i, chain[j])
-    return mapping

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from .base import guarded
 from .hessenberg import Digraph
-from .qsym import QSymElement, _unpack
+from .qsym import QSymElement, _check_stat, _unpack
 
 
 @guarded
 def path_qsym(d: Digraph, stat: str = "asc") -> QSymElement:
     """Xi_D(x,t) in the M basis, by the subset DP of the module docstring."""
-    if stat not in ("asc", "des"):
-        raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
+    _check_stat(stat)
     vs = sorted(d.vertices)
     n = len(vs)
     index = {v: i for i, v in enumerate(vs)}

@@ -2,8 +2,9 @@
 polynomial coefficients: ``QSymElement``, the M and F bases, the
 quasi-shuffle product, the omega involution, symmetry detection and the
 reading of a symmetric element in the monomial basis m
-(``to_m_basis``); and ``_unpack``, the decoder of the packed keys of the
-subset DPs in ``chromatic`` and ``pathqsym``.
+(``to_m_basis``); ``_unpack``, the decoder of the packed keys of the
+subset DPs in ``chromatic`` and ``pathqsym``; and ``_check_stat``, the
+check of their asc/des statistic argument.
 
 The omega involution on the M basis is implemented with the sign
 (-1)^(n - length(beta)), which is the one forced by omega F_alpha =
@@ -70,6 +71,12 @@ def _unpack(n: int, value: dict):
         bars = [p for p in range(1, n) if starts >> p & 1]
         out[Composition.from_bars(n, bars)] = exps
     return _freeze(n, "M", out)
+
+
+def _check_stat(stat: str) -> None:
+    """The one check of the statistic argument of X_G, Xi_D and their oracles."""
+    if stat not in ("asc", "des"):
+        raise ValueError(f"stat must be 'asc' or 'des': {stat!r}")
 
 
 QSYM_BASES = ("M", "F")

@@ -10,6 +10,10 @@ Each suite is a ``suite_<name>`` function declared with ``@_suite``, which
 registers it in ``SUITES`` under ``<name>``, hands it a fresh ``Report``
 of that name to fill in and times it.  ``SUITES`` gives the choices of
 the CLI's ``verify --suite``; the acceptance tests call the same functions.
+
+The bridge between the pipelines, the SW-to-T bijection on path covers,
+lives here too, as only this module imports both: it applies betti's
+inversion rules to a cover and defines none of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .betti import (
     betti_vector,
     betti_vectors,
     cell_dimension,
+    reading_inversions,
+    t_inversions,
     unified_dimension,
 )
 from .character import (
@@ -47,13 +53,7 @@ from .hessenberg import (
     incomparability_graph,
     weight,
 )
-from .pathcovers import (
-    ordered_path_covers,
-    sw_inversions_of_cover,
-    sw_to_t_bijection,
-    t_inversions_of_cover,
-    verify_reciprocity,
-)
+from .pathcovers import OrderedPathCover, cover_paths, ordered_path_covers, verify_reciprocity
 from .qsym import QSymElement, f_to_m, is_symmetric, omega
 from .sym import generator
 
@@ -76,6 +76,62 @@ def verify_sw_betti(m: HessenbergFunction) -> Report:
                     f"m={m}, lambda={lam}, d={d}", f"c={rhs}", f"beta_2d={lhs}"
                 )
     return report
+
+
+class InvalidCoverError(ValueError):
+    """A cover with a step that is not an edge of the complement of D(m)."""
+
+
+@functools.lru_cache(maxsize=8)
+def _complement_of(m: HessenbergFunction) -> Digraph:
+    """The complement of D(m), built once for all the covers of one m."""
+    return complement(digraph(m))
+
+
+def _checked_paths(cover: OrderedPathCover, m: HessenbergFunction):
+    paths = cover_paths(cover)
+    dbar = _complement_of(m)
+    for path in paths:
+        for u, v in zip(path, path[1:]):
+            if not dbar.has_edge(u, v):
+                raise InvalidCoverError(f"{u}->{v} is not an edge of the complement digraph")
+    return paths
+
+
+def t_inversions_of_cover(cover: OrderedPathCover, m: HessenbergFunction):
+    """T-inversions of the filling whose i-th row from the bottom is the
+    i-th path of the cover."""
+    return t_inversions(_checked_paths(cover, m), m)
+
+
+def sw_inversions_of_cover(cover: OrderedPathCover, m: HessenbergFunction):
+    """Pairs (i, k) with i earlier in the sequencing and k < i <= m_k
+    (the reduced form of the des-statistic pairs on the complement)."""
+    return reading_inversions(cover.q, m)
+
+
+def sw_to_t_bijection(cover: OrderedPathCover, m: HessenbergFunction):
+    """Map each SW-inversion (i, k) to a T-inversion.
+
+    Cross-path pairs map to themselves.  Within a path, scan right from k
+    through its successors k_1, ..., k_r (sentinel m of infinity past the
+    end) and stop at the smallest j with i <= m_{k_{j+1}}; the image is
+    (i, k_j).
+    """
+    return _sw_to_t(_checked_paths(cover, m), reading_inversions(cover.q, m), m)
+
+
+def _sw_to_t(paths, sw, m: HessenbergFunction) -> dict:
+    """``sw_to_t_bijection`` on checked paths and their SW-inversions."""
+    where = {v: (path, idx) for path in paths for idx, v in enumerate(path)}
+    mapping = {}
+    for i, k in sorted(sw):
+        path, j = where[k]
+        if i in path:
+            while j + 1 < len(path) and i > m.m_at(path[j + 1]):
+                j += 1
+        mapping[(i, k)] = (i, path[j])
+    return mapping
 
 
 SUITES = {}
@@ -170,12 +226,12 @@ def suite_unified(report: Report, max_n: int = 6):
 def suite_bijection(report: Report, max_n: int = 5):
     """The SW-to-T scan is a bijection for every ordered path cover."""
     for m in _all_hessenberg(max_n):
-        dbar = complement(digraph(m))
-        for cover in ordered_path_covers(dbar, force=True):
+        for cover in ordered_path_covers(_complement_of(m), force=True):
             report.checked += 1
-            sw = sw_inversions_of_cover(cover, m)
-            tv = t_inversions_of_cover(cover, m)
-            mapping = sw_to_t_bijection(cover, m)
+            paths = _checked_paths(cover, m)
+            sw = reading_inversions(cover.q, m)
+            tv = t_inversions(paths, m)
+            mapping = _sw_to_t(paths, sw, m)
             image = set(mapping.values())
             if (
                 set(mapping) != sw

@@ -11,6 +11,8 @@ from hesschrom.betti import (
     betti_vector,
     cell_dimension,
     check_palindromic,
+    reading_inversions,
+    t_inversions,
     unified_dimension,
 )
 from hesschrom.character import c_coeffs
@@ -23,15 +25,18 @@ from hesschrom.hessenberg import (
     weight,
 )
 from hesschrom.pathcovers import (
-    InvalidCoverError,
     OrderedPathCover,
     c_via_path_covers,
+    cover_paths,
     ordered_path_covers,
+)
+from hesschrom.verify import (
+    InvalidCoverError,
     sw_inversions_of_cover,
     sw_to_t_bijection,
     t_inversions_of_cover,
+    verify_sw_betti,
 )
-from hesschrom.verify import verify_sw_betti
 
 
 def tab(shape, *rows):
@@ -79,6 +84,14 @@ class TestCellDimension:
         assert t in admissible_tableaux(m, Partition((4,)))
         assert cell_dimension(t, m) == 2
         assert unified_dimension(t, m) == 2
+        assert t_inversions(t.rows, m) == {(3, 1), (2, 1)}
+        assert reading_inversions((3, 2, 1, 4), m) == {(3, 2), (2, 1)}
+
+    def test_rows_of_any_lengths_bottom_first(self):
+        # m=(3,3): the bottom row (1,3) is longer than the row (2,) above it
+        m = new_hessenberg(3, (3, 3))
+        assert t_inversions(((1, 3), (2,)), m) == {(3, 2)}
+        assert t_inversions(((2,), (1, 3)), m) == {(2, 1)}
 
 
 class TestUnifiedDimension:
@@ -191,6 +204,23 @@ class TestSwBijection:
                 assert set(mapping) == sw
                 assert len(set(mapping.values())) == len(mapping)
                 assert set(mapping.values()) == tv
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_t_side_is_the_cell_dimension_rule(self, n):
+        """A cover whose path lengths weakly increase, bottom first, is a
+        filling of a partition shape: its T-inversions are counted by the
+        same rule as the Betti oracle's ``cell_dimension``."""
+        seen = 0
+        for m in enumerate_hessenberg(n):
+            for cover in ordered_path_covers(complement(digraph(m))):
+                parts = cover.beta.parts
+                if list(parts) != sorted(parts):
+                    continue
+                seen += 1
+                rows = tuple(cover_paths(cover))[::-1]  # top-down
+                t = Tableau(Partition(parts[::-1]), rows)
+                assert len(t_inversions_of_cover(cover, m)) == cell_dimension(t, m)
+        assert seen
 
 
 class TestVerifySwBetti:

@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hesschrom import sym
+from hesschrom import character, sym
 from hesschrom.base import (
     BoundExceededError,
     DegreeMismatchError,
@@ -19,6 +19,7 @@ from hesschrom.base import (
 from hesschrom.betti import betti_vector
 from hesschrom.character import (
     ClassFunction,
+    IntegralityError,
     count_standard_tableaux,
     dot_character,
     e_positivity_report,
@@ -85,6 +86,18 @@ class TestDotCharacter:
         chi = dot_character(new_hessenberg(3, (2, 3)), 1)
         with pytest.raises(DegreeMismatchError, match=rf"S_3 .*, of size {arg.n}$"):
             chi(arg)
+
+    @pytest.mark.parametrize(
+        "readout, label",
+        [(dot_character, "chi([3])"), (irreducible_multiplicities, "mult([3])")],
+    )
+    def test_a_non_integral_solve_names_the_partition(self, monkeypatch, readout, label):
+        monkeypatch.setattr(
+            character, "_solve_in_basis", lambda n, basis, rhs: [Fraction(1, 7)] * len(rhs)
+        )
+        with pytest.raises(IntegralityError) as info:
+            readout(new_hessenberg(3, (2, 3)), 1)
+        assert str(info.value).startswith(f"{label}: non-integral value ")
 
 
 def frobenius_image_oracle(chi):

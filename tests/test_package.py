@@ -33,8 +33,9 @@ PUBLIC = [
     "is_palindromic", "is_symmetric", "kostka", "kostka_bruteforce", "m_to_f",
     "new_hessenberg", "omega", "omega_x_of", "ordered_path_covers", "partitions",
     "path_qsym", "path_qsym_bruteforce", "poset_relation", "quasi_shuffle",
-    "schur_positivity_report", "stable_ordered_partitions", "staircase",
-    "sw_inversions_of_cover", "sw_to_t_bijection", "t_inversions_of_cover",
+    "reading_inversions", "schur_positivity_report", "stable_ordered_partitions",
+    "staircase", "sw_inversions_of_cover", "sw_to_t_bijection", "t_inversions",
+    "t_inversions_of_cover",
     "to_m_basis", "unified_dimension", "verify_reciprocity", "verify_sw_betti",
     "weight", "x_of", "z_of",
 ]

@@ -63,6 +63,33 @@ def test_qsym_pipeline_does_not_import_betti():
         assert "betti" not in imported_modules(PACKAGE / f"{name}.py"), name
 
 
+def top_level_defs(path):
+    """The names of the functions and classes a source file defines at
+    module level."""
+    tree = ast.parse(path.read_text())
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+BRIDGE = {"t_inversions_of_cover", "sw_inversions_of_cover", "sw_to_t_bijection"}
+
+
+def test_the_bridge_lives_in_verify_and_the_rules_in_betti():
+    """The SW-to-T bijection applies the tableau pipeline's inversion rules
+    to path covers, so no qsym-pipeline module may hold it; the rules have
+    one definition, in ``betti``."""
+    for name in QSYM_PIPELINE:
+        assert not top_level_defs(PACKAGE / f"{name}.py") & BRIDGE, name
+    assert BRIDGE <= top_level_defs(PACKAGE / "verify.py")
+    rules = {"t_inversions", "reading_inversions"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined = top_level_defs(path) & rules
+        assert defined == (rules if path.name == "betti.py" else set()), path.name
+
+
 def test_every_import_form_is_seen(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
@@ -106,9 +133,9 @@ def test_chromatic_and_pathqsym_do_not_import_each_other():
 
 
 def test_path_dp_imports_only_what_an_xi_request_runs():
-    """The explicit path covers, their oracle and the bijection live in
-    ``pathcovers``, and the partition-space layer in ``sym``: an ``xi``
-    request compiles neither."""
+    """The explicit path covers and their oracle live in ``pathcovers``,
+    and the partition-space layer in ``sym``: an ``xi`` request compiles
+    neither."""
     assert imported_modules(PACKAGE / "pathqsym.py") == {"base", "hessenberg", "qsym"}
     assert imported_modules(PACKAGE / "qsym.py", module_level=True) == {"base"}
 

@@ -24,7 +24,7 @@ from hesschrom.hessenberg import (
     incomparability_graph,
     new_hessenberg,
 )
-from hesschrom.pathcovers import path_qsym_bruteforce
+from hesschrom.pathcovers import path_qsym_bruteforce, sequencing_stat
 from hesschrom.pathqsym import path_qsym
 from hesschrom.qsym import QSymElement
 
@@ -161,3 +161,22 @@ def test_bad_stat():
         chromatic_qsym(incomparability_graph(m), "inv")
     with pytest.raises(ValueError, match="stat"):
         path_qsym(digraph(m), "inv")
+
+
+# Every function that takes the asc/des statistic, called on D((2,3)) or
+# G((2,3)) with an unknown one; sequencing_stat reads q = (1,2,3).
+STAT_TAKERS = {
+    "chromatic_qsym": lambda m: chromatic_qsym(incomparability_graph(m), stat="x"),
+    "chromatic_qsym_bruteforce": lambda m: chromatic_qsym_bruteforce(
+        incomparability_graph(m), stat="x"
+    ),
+    "path_qsym": lambda m: path_qsym(digraph(m), stat="x"),
+    "path_qsym_bruteforce": lambda m: path_qsym_bruteforce(digraph(m), stat="x"),
+    "sequencing_stat": lambda m: sequencing_stat((1, 2, 3), digraph(m), stat="x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAT_TAKERS))
+def test_every_stat_taker_rejects_an_unknown_stat(name):
+    with pytest.raises(ValueError, match="^stat must be 'asc' or 'des': 'x'$"):
+        STAT_TAKERS[name](new_hessenberg(3, (2, 3)))
