@@ -30,6 +30,7 @@ from .betti import (
 )
 from .character import (
     ClassFunction,
+    IntegralityError,
     c_coeffs,
     dot_character,
     e_positivity_report,
@@ -49,6 +50,7 @@ from .hessenberg import (
     Digraph,
     Graph,
     HessenbergFunction,
+    HessenbergValidationError,
     complement,
     digraph,
     enumerate_hessenberg,
@@ -61,6 +63,7 @@ from .hessenberg import (
 from .pathcovers import (
     OrderedPathCover,
     c_via_path_covers,
+    cover_paths,
     ordered_path_covers,
     path_qsym_bruteforce,
     verify_reciprocity,

@@ -11,25 +11,28 @@ character readouts, and ``frobenius_image``, which sums in ints and
 divides by n! once.
 
 Value types, here and in the other modules, are hand-written slotted
-classes on the private ``_Frozen`` base below, which gives every one of
-them its equality, hashing, ``repr`` and copying from its ``_fields``.
-Only ``Composition`` and ``Partition`` write their own ``__eq__`` and
-``__hash__`` (they are the hot dict and lru keys), and ``QSymElement`` its
-own ``__hash__`` (its term map cannot be hashed).  No module of the package
-imports ``dataclasses``, and this one does not import ``fractions``: every
-CLI request is a fresh process that imports this module, and with cached
-bytecode ``dataclasses`` (through the ``inspect`` it loads) cost each cold
-request about 8 ms, ``fractions`` (through ``decimal``) about 3 ms, and
-the dataclass decorators on eleven classes a few ms more, although
-``betti`` and ``enumerate`` requests never make a Fraction.  Without them
-``hesschrom.base`` imports in about 1 ms (13 ms before).
+classes on the private ``_Frozen`` base below, ``TPoly`` among them,
+which gives every one of them its construction, equality, hashing,
+``repr`` and copying from its ``_fields``.  Only ``Composition`` and
+``Partition``, through their shared base ``_Parts``, write their own
+``__eq__`` and ``__hash__`` (they are the hot dict and lru keys), and
+``TPoly`` its own (it equals the scalar it is constant at).  No module of
+the package imports ``dataclasses``, and this one does not import
+``fractions``: every CLI request is a fresh process that imports this
+module, and with cached bytecode ``dataclasses`` (through the ``inspect``
+it loads) cost each cold request about 8 ms, ``fractions`` (through
+``decimal``) about 3 ms, and the dataclass decorators on eleven classes a
+few ms more, although ``betti`` and ``enumerate`` requests never make a
+Fraction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import WRAPPER_ASSIGNMENTS, lru_cache, wraps
 from math import factorial
 from numbers import Rational
+from types import MappingProxyType
 
 
 class DegreeMismatchError(ValueError):
@@ -82,18 +85,32 @@ class FrozenInstanceError(AttributeError):
 
 
 class _Frozen:
-    """Base of the immutable value types: slotted, with fields set once in
-    ``__init__`` through ``object.__setattr__`` and never again.
-    ``_fields`` names the constructor's arguments, in order, and drives
-    the rest: equality (same class, equal fields), the hash of the tuple
-    of fields, a dataclass-style ``repr``, and a ``__reduce__`` that
-    rebuilds through the constructor, so ``pickle`` and ``copy`` work
-    although ``__setattr__`` refuses.  ``Composition`` and ``Partition``
-    keep their own ``__eq__`` and ``__hash__``: they are dict and lru keys
-    on hot paths, where the loop over ``_fields`` is six times slower."""
+    """Base of the immutable value types: slotted, with fields set once by
+    ``_Frozen.__init__`` and never again.  ``_fields`` names the
+    constructor's arguments, in order, and drives the rest: equality (same
+    class, equal fields), the hash of the tuple of fields, a
+    dataclass-style ``repr``, and a ``__reduce__`` that rebuilds through
+    the constructor, so ``pickle`` and ``copy`` work although
+    ``__setattr__`` refuses.  A field that holds a read-only mapping
+    (``TPoly.terms``, ``QSymElement.terms``) can be neither hashed nor
+    pickled, so the hash reads it as a frozenset of its items and
+    ``__reduce__`` as a dict.  A validating constructor calls
+    ``_Frozen.__init__`` once with every field; ``_of`` builds an instance
+    of values already known to be valid, without the class's checks."""
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """An instance holding values, with none of the class's checks."""
+        self = object.__new__(cls)
+        _Frozen.__init__(self, *values)
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -101,20 +118,27 @@ class _Frozen:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def _values(self, mapping):
+        """The fields in order, a read-only mapping as mapping(its items)."""
+        return tuple(
+            mapping(v.items()) if type(v) is MappingProxyType else v
+            for v in (getattr(self, f) for f in self._fields)
+        )
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return all(getattr(self, f) == getattr(other, f) for f in self._fields)
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(getattr(self, f) for f in self._fields))
+        return hash(self._values(frozenset))
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({args})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        return type(self), self._values(dict)
 
 
 class Report:
@@ -158,48 +182,55 @@ class Report:
         return {f: getattr(self, f) for f in self._fields}
 
 
-class TPoly:
+def _merge(out: dict, items, scale=1) -> dict:
+    """Add scale * c to out[e] for each pair (e, c) of items, dropping every
+    exponent whose coefficient sums to zero; returns out."""
+    for e, c in items:
+        s = out.get(e, 0) + scale * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+class TPoly(_Frozen):
     """Laurent polynomial in one variable t with exact coefficients.
 
-    ``terms`` maps integer exponents (possibly negative) to nonzero
-    coefficients.  Coefficients are ints, or Fractions: inside a linear
-    solve, and for good in the results that keep them, such as a p-basis
-    expansion (``xg --m 2,3 --basis p`` prints 1/3, -1/2 and 1/6), or
-    ``frobenius_image`` of a class function that is not a character.
-    Zero coefficients are never stored, so equality is term-map equality,
-    and a TPoly equals a scalar, and hashes like it, exactly when it is
-    constant at that scalar (the empty TPoly at 0).
+    ``terms`` is a read-only mapping of integer exponents (possibly
+    negative) to nonzero coefficients: TPolys are the coefficients of the
+    expansions that lru caches share.  Coefficients are ints, or
+    Fractions: inside a linear solve, and for good in the results that
+    keep them, such as a p-basis expansion (``xg --m 2,3 --basis p`` prints
+    1/3, -1/2 and 1/6), or ``frobenius_image`` of a class function that is
+    not a character.  Zero coefficients are never stored, so equality is
+    term-map equality, and a TPoly equals a scalar, and hashes like it,
+    exactly when it is constant at that scalar (the empty TPoly at 0).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = _fields = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for e, c in items:
-                s = clean.get(e, 0) + c
-                if s:
-                    clean[e] = s
-                else:
-                    clean.pop(e, None)
-        self.terms = clean
+        if terms is None:
+            terms = ()
+        elif isinstance(terms, Mapping):
+            terms = terms.items()
+        super().__init__(MappingProxyType(_merge({}, terms)))
 
     @classmethod
     def _of(cls, terms: dict) -> "TPoly":
         """Wrap terms without the normalising pass of ``__init__``.
-        Precondition: no coefficient in terms is zero."""
-        res = cls.__new__(cls)
-        res.terms = terms
-        return res
+        Precondition: no coefficient in terms is zero, and no one else
+        holds the dict terms."""
+        return super()._of(MappingProxyType(terms))
 
     @classmethod
     def const(cls, c):
-        return cls({0: c}) if c else cls()
+        return cls._of({0: c} if c else {})
 
     @classmethod
     def t(cls, exp=1, coeff=1):
-        return cls({exp: coeff}) if coeff else cls()
+        return cls._of({exp: coeff} if coeff else {})
 
     def coeff(self, exp):
         return self.terms.get(exp, 0)
@@ -236,14 +267,7 @@ class TPoly:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return TPoly._of(out)
+        return TPoly._of(_merge(self.terms.copy(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -254,14 +278,7 @@ class TPoly:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return TPoly._of(out)
+        return TPoly._of(_merge(self.terms.copy(), other.terms.items(), -1))
 
     def __rsub__(self, other):
         other = self._coerced(other)
@@ -271,19 +288,15 @@ class TPoly:
 
     def __mul__(self, other):
         if isinstance(other, TPoly):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return TPoly._of(out)
+            products = (
+                (e1 + e2, c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            )
+            return TPoly._of(_merge({}, products))
         if isinstance(other, (int, Rational)):
             if not other:
-                return TPoly()
+                return TPoly._of({})
             return TPoly._of({e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
@@ -318,24 +331,23 @@ class TPoly:
         return " + ".join(pieces)
 
     def __repr__(self):
-        return f"TPoly({self.terms!r})"
+        return f"TPoly({dict(self.terms)!r})"
 
 
-class Composition(_Frozen):
-    """A sequence of positive parts; the empty composition has degree 0.
-
-    The bar-set view puts vertical bars in a subset of the n-1 gaps of a
-    row of n objects; parts are the gap widths.  ``num_bars`` is the
-    paper-style size statistic (number of bars, i.e. length - 1).
-    """
+class _Parts(_Frozen):
+    """A tuple of positive integer parts: the common base of ``Composition``
+    and ``Partition``.  It keeps its own ``__eq__`` and ``__hash__``: both
+    classes are dict and lru keys on hot paths, where the loop over
+    ``_fields`` is six times slower."""
 
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple):
         parts = tuple(parts)
         if any(not isinstance(p, int) or p < 1 for p in parts):
-            raise ValueError(f"composition parts must be positive integers: {parts}")
-        object.__setattr__(self, "parts", parts)
+            kind = type(self).__name__.lower()
+            raise ValueError(f"{kind} parts must be positive integers: {parts}")
+        super().__init__(parts)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -352,6 +364,17 @@ class Composition(_Frozen):
     @property
     def length(self) -> int:
         return len(self.parts)
+
+
+class Composition(_Parts):
+    """A sequence of positive parts; the empty composition has degree 0.
+
+    The bar-set view puts vertical bars in a subset of the n-1 gaps of a
+    row of n objects; parts are the gap widths.  ``num_bars`` is the
+    paper-style size statistic (number of bars, i.e. length - 1).
+    """
+
+    __slots__ = ()
 
     @property
     def num_bars(self) -> int:
@@ -399,34 +422,15 @@ class Composition(_Frozen):
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-class Partition(_Frozen):
+class Partition(_Parts):
     """Weakly decreasing sequence of positive parts."""
 
-    __slots__ = _fields = ("parts",)
+    __slots__ = ()
 
     def __init__(self, parts: tuple):
-        parts = tuple(parts)
-        if any(not isinstance(p, int) or p < 1 for p in parts):
-            raise ValueError(f"partition parts must be positive integers: {parts}")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
+        super().__init__(parts)
+        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+            raise ValueError(f"partition parts must be weakly decreasing: {self.parts}")
 
     def as_composition(self) -> Composition:
         return Composition(self.parts)
@@ -501,7 +505,7 @@ class Permutation(_Frozen):
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
+        super().__init__(images)
 
     @property
     def n(self) -> int:

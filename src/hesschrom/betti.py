@@ -52,8 +52,7 @@ class Tableau(_Frozen):
         entries = sorted(v for r in rows for v in r)
         if entries != list(range(1, shape.n + 1)):
             raise ValueError("entries must be a permutation of 1..n")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(shape, rows)
 
 
 class BettiVector(_Frozen):
@@ -61,8 +60,7 @@ class BettiVector(_Frozen):
 
     def __init__(self, values: tuple, weight: int):
         # values: pairs (2d, count), increasing degree
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weight", weight)
+        super().__init__(values, weight)
 
     def as_dict(self):
         return dict(self.values)
@@ -91,7 +89,8 @@ def admissible_tableaux(m: HessenbergFunction, lam: Partition):
             for row in rows
             for c in range(len(row) - 1)
         ):
-            out.append(Tableau(lam, tuple(rows)))
+            # a permutation cut by the shape: valid by construction
+            out.append(Tableau._of(lam, tuple(rows)))
     return out
 
 

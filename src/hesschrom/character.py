@@ -52,8 +52,7 @@ class ClassFunction(_Frozen):
 
     def __init__(self, n: int, values: tuple):
         # values: pairs (Partition cycle type, integer), reverse-lex order
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
+        super().__init__(n, values)
 
     def as_dict(self):
         return dict(self.values)

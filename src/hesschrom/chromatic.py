@@ -20,9 +20,9 @@ X_{G(m)} = Xi_{D(m)} compares two independent computations."""
 
 from __future__ import annotations
 
-from .base import Composition, TPoly, guarded
+from .base import Composition, guarded
 from .hessenberg import Graph
-from .qsym import QSymElement, _check_stat, _unpack
+from .qsym import QSymElement, _check_stat, _freeze, _unpack
 
 
 def _stable_subsets(vertices, graph: Graph):
@@ -132,10 +132,6 @@ def chromatic_qsym_bruteforce(graph: Graph, stat: str = "asc") -> QSymElement:
     acc = {}
     for blocks in stable_ordered_partitions(graph, force=True):
         d = _stat_of_partition(blocks, graph, stat)
-        slot = acc.setdefault(tuple(len(b) for b in blocks), {})
+        slot = acc.setdefault(Composition(tuple(len(b) for b in blocks)), {})
         slot[d] = slot.get(d, 0) + 1
-    return QSymElement(
-        len(graph.vertices),
-        "M",
-        {Composition(parts): TPoly(slot) for parts, slot in acc.items()},
-    )
+    return _freeze(len(graph.vertices), "M", acc)

@@ -25,8 +25,7 @@ class Graph(_Frozen):
         for e in edges:
             if len(e) != 2 or not e <= vertices:
                 raise ValueError(f"bad edge {set(e)}")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+        super().__init__(vertices, edges)
 
     @property
     def n(self) -> int:
@@ -44,8 +43,7 @@ class Digraph(_Frozen):
         for u, v in edges:
             if u == v or u not in vertices or v not in vertices:
                 raise ValueError(f"bad directed edge {(u, v)}")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+        super().__init__(vertices, edges)
 
     @property
     def n(self) -> int:
@@ -91,8 +89,7 @@ class HessenbergFunction(_Frozen):
                 raise HessenbergValidationError(
                     i, f"m_{i}={v} breaks weak monotonicity"
                 )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        super().__init__(n, m)
 
     def m_at(self, i: int) -> int:
         if i == self.n:

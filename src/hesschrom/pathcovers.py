@@ -17,10 +17,10 @@ the tableau pipeline's inversion rules, so it lives with the suites in
 
 from __future__ import annotations
 
-from .base import Composition, Report, TPoly, _Frozen, guarded
+from .base import Composition, Report, _Frozen, guarded
 from .hessenberg import Digraph, HessenbergFunction, complement, digraph
 from .pathqsym import path_qsym
-from .qsym import QSymElement, _check_stat, omega
+from .qsym import QSymElement, _check_stat, _freeze, omega
 
 
 class OrderedPathCover(_Frozen):
@@ -30,8 +30,7 @@ class OrderedPathCover(_Frozen):
     __slots__ = _fields = ("q", "beta")
 
     def __init__(self, q: tuple, beta: Composition):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "beta", beta)
+        super().__init__(q, beta)
 
 
 def _paths_from(v, remaining, d: Digraph):
@@ -109,9 +108,7 @@ def path_qsym_bruteforce(d: Digraph, stat: str = "asc") -> QSymElement:
         slot = acc.setdefault(cover.beta, {})
         e = sequencing_stat(cover.q, d, stat)
         slot[e] = slot.get(e, 0) + 1
-    return QSymElement(
-        len(d.vertices), "M", {beta: TPoly(slot) for beta, slot in acc.items()}
-    )
+    return _freeze(len(d.vertices), "M", acc)
 
 
 @guarded

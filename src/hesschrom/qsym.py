@@ -25,7 +25,7 @@ import itertools
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .base import Composition, DegreeMismatchError, TPoly, _Frozen, rearrangements
+from .base import Composition, DegreeMismatchError, TPoly, _Frozen, _merge, rearrangements
 
 
 class NotSymmetricError(ValueError):
@@ -36,6 +36,10 @@ class NotSymmetricError(ValueError):
         super().__init__(
             f"not symmetric: coefficient of M_{alpha} differs from M_{sorted_alpha}"
         )
+
+
+# every missing coefficient reads as this one TPoly, which is immutable
+_ZERO = TPoly()
 
 
 def _coerce_poly(c) -> TPoly:
@@ -49,14 +53,14 @@ def _coerce_poly(c) -> TPoly:
 
 def _add_scaled(acc: dict, key, poly: TPoly, scale=1) -> None:
     """acc[key] += scale * poly, on the accumulator's exponent dicts."""
-    slot = acc.setdefault(key, {})
-    for e, c in poly.terms.items():
-        slot[e] = slot.get(e, 0) + scale * c
+    _merge(acc.setdefault(key, {}), poly.terms.items(), scale)
 
 
 def _freeze(n: int, basis: str, acc: dict):
-    """The element holding an accumulator; cancelled coefficients drop out."""
-    return QSymElement(n, basis, {key: TPoly(slot) for key, slot in acc.items()})
+    """The element holding an accumulator of exponent dicts with no zero
+    coefficient, as ``_add_scaled`` leaves them; each dict becomes its
+    TPoly's terms, and an empty one drops out."""
+    return QSymElement(n, basis, {key: TPoly._of(slot) for key, slot in acc.items()})
 
 
 def _unpack(n: int, value: dict):
@@ -90,16 +94,13 @@ class QSymElement(_Frozen):
     quasisymmetric one read in another basis).
 
     Elements are shared through lru caches, so ``terms`` is a read-only
-    mapping and, as for every ``_Frozen`` value, no field can be assigned
-    or deleted after construction.  A read-only mapping can be neither
-    hashed nor pickled, so ``__hash__`` and ``__reduce__`` read it as a
-    frozenset and a dict.
+    mapping, as is each coefficient's, and, as for every ``_Frozen``
+    value, no field can be assigned or deleted after construction.
 
     Construction takes one pass: each coefficient is made a TPoly once,
     zeros are dropped, and coefficients are added only where an iterable of
     pairs repeats a key.  A TPoly coefficient that is not added to is kept
-    as it is, not copied: the element shares it with the caller, so a
-    TPoly's ``terms`` must not be mutated once it is passed in.
+    as it is, not copied.
     """
 
     __slots__ = _fields = ("n", "basis", "terms")
@@ -121,25 +122,17 @@ class QSymElement(_Frozen):
                     clean[key] = c
                 else:
                     clean.pop(key, None)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        super().__init__(n, basis, MappingProxyType(clean))
 
     @classmethod
     def monomial(cls, key, basis: str = "M", coeff=1):
         return cls(key.n, basis, {key: _coerce_poly(coeff)})
 
     def coeff(self, key) -> TPoly:
-        return self.terms.get(key, TPoly())
+        return self.terms.get(key, _ZERO)
 
     def __bool__(self):
         return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.basis, frozenset(self.terms.items())))
-
-    def __reduce__(self):
-        return QSymElement, (self.n, self.basis, dict(self.terms))
 
     def __add__(self, other):
         if not isinstance(other, QSymElement):
@@ -261,11 +254,7 @@ def quasi_shuffle(x: QSymElement, y: QSymElement) -> QSymElement:
             c = ca * cb
             for parts in _qshuffles(alpha.parts, beta.parts):
                 _add_scaled(acc, parts, c)
-    return QSymElement(
-        x.n + y.n,
-        "M",
-        {Composition(parts): TPoly(slot) for parts, slot in acc.items()},
-    )
+    return _freeze(x.n + y.n, "M", {Composition(p): slot for p, slot in acc.items()})
 
 
 def is_symmetric(x: QSymElement) -> bool:

@@ -38,6 +38,12 @@ class TestTPoly:
         assert TPoly({1: 2}) - TPoly({1: 2}) == TPoly()
         assert not TPoly()
 
+    def test_built_from_a_read_only_mapping_or_pairs(self):
+        p = TPoly({-1: 3, 0: 1})
+        q = TPoly(p.terms)
+        assert q == p and q.terms is not p.terms
+        assert TPoly([(1, 2), (1, -2), (0, 5)]) == TPoly.const(5)
+
     def test_arithmetic(self):
         p = TPoly({-1: 3, 0: 1})
         q = TPoly({1: 2})

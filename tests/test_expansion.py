@@ -47,6 +47,28 @@ def test_cached_elements_cannot_be_mutated(cached):
     assert cached(m) is x and dict(x.terms) == before and x.n == 3 and x.basis == "m"
 
 
+@pytest.mark.parametrize("cached, arg", [
+    (x_of, new_hessenberg(3, (2, 3))),
+    (omega_x_of, new_hessenberg(3, (2, 3))),
+    (lambda lam: generator("e", lam), Partition((2, 1))),
+])
+def test_cached_coefficients_cannot_be_mutated(cached, arg):
+    x = cached(arg)
+    before = {key: dict(c.terms) for key, c in x.terms.items()}
+    for c in x.terms.values():
+        with pytest.raises(TypeError):
+            c.terms[0] = 12345
+        with pytest.raises(TypeError):
+            del c.terms[min(c.terms)]
+        with pytest.raises(FrozenInstanceError):
+            c.terms = {}
+        with pytest.raises(FrozenInstanceError):
+            del c.terms
+    again = cached(arg)
+    assert again is x
+    assert {key: dict(c.terms) for key, c in again.terms.items()} == before
+
+
 @pytest.mark.parametrize("cached", [x_of, omega_x_of])
 def test_cached_elements_copy_and_pickle(cached):
     x = cached(new_hessenberg(4, (2, 4, 4)))

@@ -8,11 +8,13 @@ import pydoc
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hesschrom
+from hesschrom import character
 from hesschrom.base import BoundExceededError, Composition, Partition
 from hesschrom.hessenberg import digraph, incomparability_graph, new_hessenberg
 
@@ -21,12 +23,14 @@ SRC = Path(hesschrom.__file__).parent.parent
 PUBLIC = [
     "BettiVector", "BoundExceededError", "ClassFunction", "Composition",
     "DegreeMismatchError", "Digraph", "Graph", "HessenbergFunction",
+    "HessenbergValidationError", "IntegralityError",
     "InvalidCoverError", "NotSymmetricError", "OrderedPathCover", "Partition",
     "Permutation", "QSymElement", "Report", "TPoly", "Tableau",
     "admissible_tableaux", "betti_vector", "betti_vector_bruteforce",
     "betti_vectors", "c_coeffs",
     "c_via_path_covers", "cell_dimension", "check_palindromic", "chromatic_qsym",
-    "chromatic_qsym_bruteforce", "complement", "compositions", "digraph",
+    "chromatic_qsym_bruteforce", "complement", "compositions", "cover_paths",
+    "digraph",
     "dot_character", "e_positivity_report", "enumerate_hessenberg",
     "expand_in_basis", "f_to_m", "fixed_space_dims", "frobenius_image",
     "generator", "incomparability_graph", "irreducible_multiplicities",
@@ -64,6 +68,24 @@ def test_star_import_binds_every_public_name():
     del namespace["__builtins__"]
     assert sorted(namespace) == PUBLIC
     assert all(namespace[n] is getattr(hesschrom, n) for n in PUBLIC)
+
+
+def test_errors_of_public_functions_are_caught_by_their_public_names(monkeypatch):
+    try:
+        hesschrom.new_hessenberg(3, (2, 1))
+    except hesschrom.HessenbergValidationError as err:
+        assert err.index == 2
+    else:
+        pytest.fail("m_2 = 1 < 2 is not a Hessenberg function")
+    monkeypatch.setattr(
+        character, "_solve_in_basis", lambda n, basis, rhs: [Fraction(1, 7)] * len(rhs)
+    )
+    try:
+        hesschrom.dot_character(new_hessenberg(3, (2, 3)), 1)
+    except hesschrom.IntegralityError as err:
+        assert str(err).startswith("chi([3]): non-integral value ")
+    else:
+        pytest.fail("a solve of sevenths is not integral")
 
 
 def test_unknown_name_raises_attribute_error_naming_the_package():

@@ -82,13 +82,18 @@ FROZEN = {
         lambda: QSymElement(3, "m", {Partition((2, 1)): TPoly({0: 1})}),
         "(1 + 2*t) m[2,1]",
     ),
+    "TPoly": (
+        lambda: TPoly({0: 1, 1: 2}),
+        lambda: TPoly({0: 1}),
+        "TPoly({0: 1, 1: 2})",
+    ),
 }
 
-# The hot dict and lru keys keep their own equality and hashing; a read-only
-# term map cannot be hashed.
-OWN_EQ_AND_HASH = {"Composition": {"__eq__", "__hash__"},
-                   "Partition": {"__eq__", "__hash__"},
-                   "QSymElement": {"__hash__"}}
+# The hot dict and lru keys keep their own equality and hashing, through
+# their private base; a TPoly equals and hashes like the scalar it is
+# constant at.
+OWN_EQ_AND_HASH = {"_Parts": {"__eq__", "__hash__"},
+                   "TPoly": {"__eq__", "__hash__"}}
 
 # Instances of different classes whose fields hold equal values.
 SAME_FIELDS = [
@@ -110,16 +115,28 @@ def frozen(request):
     return request.param, *FROZEN[request.param]
 
 
-def test_every_value_class_is_covered():
+def _descendants_of_frozen():
+    """Every class below ``_Frozen``, through private bases such as ``_Parts``."""
     for info in pkgutil.iter_modules(hesschrom.__path__):
         importlib.import_module(f"hesschrom.{info.name}")
-    classes = _Frozen.__subclasses__()
+    out, todo = [], [_Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            out.append(cls)
+            todo.append(cls)
+    return out
+
+
+def test_every_value_class_is_covered():
+    classes = [c for c in _descendants_of_frozen() if not c.__name__.startswith("_")]
     assert {cls.__name__ for cls in classes} == set(FROZEN)
     assert {type(make()) for make, _, _ in FROZEN.values()} == set(classes)
 
 
 def test_equality_and_hashing_come_from_frozen():
-    for cls in _Frozen.__subclasses__():
+    classes = _descendants_of_frozen()
+    assert set(OWN_EQ_AND_HASH) <= {cls.__name__ for cls in classes}
+    for cls in classes:
         own = {"__eq__", "__hash__"} & set(vars(cls))
         assert own == OWN_EQ_AND_HASH.get(cls.__name__, set()), cls
     assert Report.__eq__ is _Frozen.__eq__ and Report.__repr__ is _Frozen.__repr__
