@@ -46,14 +46,6 @@ class BoundExceededError(ValueError):
 DEFAULT_MAX_N = 8
 
 
-def check_bound(n: int, max_n: int = DEFAULT_MAX_N, force: bool = False) -> None:
-    if not force and n > max_n:
-        raise BoundExceededError(
-            f"size {n} exceeds the enumeration guard ({max_n}); "
-            f"pass force=True (or --force) to override"
-        )
-
-
 # help() shows the signature of the guarded function, so the guard's
 # keywords are named in the docstring instead
 _GUARD_DOC = """
@@ -65,15 +57,21 @@ _GUARD_DOC = """
 def guarded(fn):
     """Give fn the size guard.  The wrapper takes fn's arguments plus the
     keywords ``max_n`` (default ``DEFAULT_MAX_N``) and ``force`` (default
-    False), runs ``check_bound`` on the size ``n`` of the first argument,
-    and then calls fn with its own arguments only: an ``lru_cache`` under
-    the guard is keyed on them alone, and the wrapper forwards its
+    False), raises ``BoundExceededError`` if the size n of the first
+    argument (the int itself, or its ``n``) exceeds ``max_n`` and force is
+    off, and then calls fn with its own arguments only: an ``lru_cache``
+    under the guard is keyed on them alone, and the wrapper forwards its
     ``cache_info`` and ``cache_clear``.  Callers inside the package pass
     ``force=True`` once their own entry point has checked."""
 
     @wraps(fn, assigned=WRAPPER_ASSIGNMENTS + ("cache_info", "cache_clear"))
     def run(arg, /, *args, max_n: int = DEFAULT_MAX_N, force: bool = False, **kwargs):
-        check_bound(arg.n, max_n, force)
+        n = arg if isinstance(arg, int) else arg.n
+        if not force and n > max_n:
+            raise BoundExceededError(
+                f"size {n} exceeds the enumeration guard ({max_n}); "
+                f"pass force=True (or --force) to override"
+            )
         return fn(arg, *args, **kwargs)
 
     run.__doc__ = (fn.__doc__ or "") + _GUARD_DOC
@@ -170,12 +168,13 @@ class Report:
         )
 
     def extend(self, other: "Report", context: str = None):
-        """Add other's checks and failures to ours.  A context names the
-        input other ran on and prefixes each of its failures' inputs."""
+        """Add other's checks, and a copy of each of its failures, to ours.
+        A context names the input other ran on and prefixes each input."""
         self.checked += other.checked
         for f in other.failures:
+            f = dict(f)  # our records are our own
             if context is not None:
-                f = {**f, "input": f"{context}: {f['input']}"}
+                f["input"] = f"{context}: {f['input']}"
             self.failures.append(f)
 
     def to_json(self):
@@ -241,7 +240,10 @@ class TPoly(_Frozen):
     def __bool__(self):
         return bool(self.terms)
 
-    def _coerced(self, other):
+    @staticmethod
+    def _coerced(other):
+        """other as a TPoly: itself, or a scalar (the one rule: an int or a
+        Rational) as a constant; None for anything else."""
         if isinstance(other, TPoly):
             return other
         if isinstance(other, (int, Rational)):

@@ -135,7 +135,7 @@ def _cmd_enumerate(args):
 def _cmd_verify(args):
     from .verify import SUITES
     fn = SUITES[args.suite]
-    kwargs = {"seed": args.seed} if args.suite == "reciprocity" else {}
+    kwargs = {"seed": args.seed} if "seed" in fn.__signature__.parameters else {}
     if args.max_n is not None:
         kwargs["max_n"] = args.max_n
     report = fn(**kwargs)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from .base import DEFAULT_MAX_N, _Frozen, check_bound
+from .base import _Frozen, guarded
 
 
 class HessenbergValidationError(ValueError):
@@ -72,14 +72,15 @@ class HessenbergFunction(_Frozen):
 
     def __init__(self, n: int, m: tuple):
         m = tuple(m)
-        if not isinstance(n, int):
+        # a bool is an int to Python, but not a size or an index
+        if type(n) is bool or not isinstance(n, int):
             raise HessenbergValidationError(0, f"n={n!r} is not an integer")
         if n < 1 or len(m) != n - 1:
             raise HessenbergValidationError(
                 0, f"need exactly n-1={n - 1} values, got {len(m)}"
             )
         for i, v in enumerate(m, start=1):
-            if not isinstance(v, int):
+            if type(v) is bool or not isinstance(v, int):
                 raise HessenbergValidationError(i, f"m_{i}={v!r} is not an integer")
             if v < i:
                 raise HessenbergValidationError(i, f"m_{i}={v} violates m_i >= i")
@@ -100,8 +101,7 @@ class HessenbergFunction(_Frozen):
         return "(" + ",".join(map(str, self.m)) + ")"
 
 
-def new_hessenberg(n: int, m) -> HessenbergFunction:
-    return HessenbergFunction(n, tuple(m))
+new_hessenberg = HessenbergFunction
 
 
 def staircase(n: int) -> HessenbergFunction:
@@ -114,11 +114,11 @@ def weight(m: HessenbergFunction) -> int:
     return sum(v - i for i, v in enumerate(m.m, start=1))
 
 
-def enumerate_hessenberg(n: int, max_n: int = DEFAULT_MAX_N, force: bool = False):
+@guarded
+def enumerate_hessenberg(n: int):
     """All Hessenberg functions for n, lexicographically; C_n of them."""
     if n < 1:
         raise ValueError(f"n={n}: a Hessenberg function needs n >= 1")
-    check_bound(n, max_n, force)
 
     def rec(i, lo):
         if i == n:

@@ -3,7 +3,7 @@ built on them: ``path_qsym_bruteforce``, the oracle of the subset DP
 ``pathqsym.path_qsym``; the reciprocity identity omega Xi_D =
 Xi_{D-complement} as an executable check; and path-cover counts for
 the coefficients c_{d,lambda} (the [M_alpha] coefficient of Xi of the
-complement of D(m)).
+complement of D(m), which ``_complement_of`` builds once per m).
 
 ``path_qsym_bruteforce`` sums the statistic over ``ordered_path_covers``
 and builds its compositions without ``qsym._unpack``, so the differential
@@ -16,6 +16,8 @@ the tableau pipeline's inversion rules, so it lives with the suites in
 ``verify``."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .base import Composition, Report, _Frozen, guarded
 from .hessenberg import Digraph, HessenbergFunction, complement, digraph
@@ -140,5 +142,11 @@ def c_via_path_covers(m: HessenbergFunction, alpha: Composition, stat: str = "as
     of ``path_qsym`` on that complement."""
     if alpha.n != m.n:
         raise ValueError(f"{alpha} is not a composition of {m.n}")
-    xi = path_qsym(complement(digraph(m)), stat, force=True)
+    xi = path_qsym(_complement_of(m), stat, force=True)
     return dict(xi.coeff(alpha).terms)
+
+
+@lru_cache(maxsize=8)
+def _complement_of(m: HessenbergFunction) -> Digraph:
+    """The complement of D(m), built once for all the covers of one m."""
+    return complement(digraph(m))

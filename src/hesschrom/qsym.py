@@ -9,8 +9,8 @@ check of their asc/des statistic argument.
 The omega involution on the M basis is implemented with the sign
 (-1)^(n - length(beta)), which is the one forced by omega F_alpha =
 F_{complement(alpha)} together with omega e = h; see the calibration
-suite. On an m-basis input ``omega`` applies the integer matrix of
-``sym._omega_matrix``.
+suite. On the m basis omega m_lambda is the forgotten symmetric function
+f_lambda, so ``omega`` applies the matrix ``sym._transition_matrix(n, "f")``.
 
 The partition-space layer (the e, h, p and s bases, Kostka numbers and
 the M-basis generators that are their oracle) lives in ``sym``, which
@@ -43,7 +43,10 @@ _ZERO = TPoly()
 
 
 def _coerce_poly(c) -> TPoly:
-    return c if isinstance(c, TPoly) else TPoly.const(c)
+    poly = TPoly._coerced(c)
+    if poly is None:
+        raise TypeError(f"coefficient {c!r} is not a TPoly, an int or a Rational")
+    return poly
 
 
 # Producers sum many terms into one element. They accumulate plain
@@ -211,10 +214,10 @@ def _subsets_of(beta: Composition):
 
 def omega(x: QSymElement) -> QSymElement:
     """The omega involution, on the M basis (F inputs are converted); an
-    m-basis input stays in the m basis, through ``sym._omega_matrix``."""
+    m-basis input stays in the m basis, through the forgotten basis f."""
     if x.basis == "m":
         from .sym import _apply  # only the m basis needs sym
-        return _apply(x, "omega", "m")
+        return _apply(x, "f", "m")
     if x.basis == "F":
         x = f_to_m(x)
     elif x.basis != "M":

@@ -1,19 +1,19 @@
 """The partition-space layer: symmetric functions of degree n as vectors
-over the partitions of n, and the exact integer matrices between the m
-basis and the e, h, p and s bases, and of omega on the m basis.
+over the partitions of n, and the exact integer matrices that expand the
+e, h, p, s and forgotten f bases in the m basis.
 
-The change of basis between m and e, h, p or s goes through one matrix
-per (n, basis), ``_transition_matrix``, built on partitions alone and
-cached as tuples: Kostka numbers by adding horizontal strips (Pieri),
-h and e as sums of products of two Kostka columns, p by a memoised count
-of the merges of one partition's parts into another's.
-``_solve_in_basis`` solves against it, for ``expand_in_basis`` and for
-the character readouts, which pass scalar m-coefficients;
-``contract_to_m`` multiplies by it. ``_omega_matrix`` is omega on the m
-basis, S C S^-1 from the s matrix S and the conjugation of partitions C;
-``qsym.omega`` applies it to m-basis inputs. The two products, and
+A change of basis goes through one matrix per (n, basis),
+``_transition_matrix``, built on partitions alone and cached as tuples:
+Kostka numbers by adding horizontal strips (Pieri), h and e as sums of
+products of two Kostka columns, p by a memoised count of the merges of
+one partition's parts into another's, f as S C S^-1 from the s matrix S
+and the conjugation of partitions C.  ``_solve_in_basis`` solves against
+it, for ``expand_in_basis`` and for the character readouts, which pass
+scalar m-coefficients; ``contract_to_m`` multiplies by it, and so does
+``qsym.omega`` on the m basis by the f matrix, as omega m_lambda =
+f_lambda (f is not a basis of ``QSymElement``).  The two products, and
 ``character.frobenius_image``, read the matrix's nonzero entries column
-by column from ``_columns``, built once per (n, matrix).
+by column from ``_columns``, built once per (n, basis).
 
 The M-basis route, ``generator`` built from ``quasi_shuffle`` and
 ``kostka_bruteforce``, is kept here as the oracle for every column; the
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 
 from .base import (
@@ -184,13 +185,33 @@ def _transition_matrix(n: int, target: str):
     s is the Kostka matrix; h_mu = sum_lam K_{lam,mu} s_lam and
     e_mu = sum_lam K_{lam',mu} s_lam multiply two of its columns; p counts
     the merges of lam_j's parts into lam_i's.
+
+    f: omega s_lam = s_{lam'} and omega m_lam = f_lam, so the f matrix is
+    S C S^-1 in ints, with S the s matrix (lower unitriangular in this
+    order), C the conjugation of partitions and S^-1 by forward
+    substitution.  It squares to the identity; the M-basis ``omega`` of
+    ``m_partition_to_qsym(lam_j)`` is the oracle for its column j.
     """
-    if target not in ("e", "h", "p", "s"):
+    if target not in ("e", "f", "h", "p", "s"):
         raise ValueError(f"no transition matrix to the {target!r} basis")
     parts = tuple(partitions(n))
     keys = [lam.parts for lam in parts]
     if target == "p":
         return parts, tuple(tuple(_merges(lam, mu) for lam in keys) for mu in keys)
+    if target == "f":
+        s = _transition_matrix(n, "s")[1]
+        k = len(keys)
+        inv = [[0] * k for _ in range(k)]
+        for j in range(k):
+            inv[j][j] = 1
+            for i in range(j + 1, k):
+                row = s[i]
+                inv[i][j] = -sum(row[l] * inv[l][j] for l in range(j, i))
+        index = {lam: i for i, lam in enumerate(keys)}
+        # row i of C S^-1 is the row of S^-1 at the conjugate of lam_i
+        flipped = [inv[index[_conjugate(lam)]] for lam in keys]
+        columns = tuple(zip(*flipped))
+        return parts, tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in s)
     col = {mu: _kostka_column(mu) for mu in keys}
     if target == "s":
         return parts, tuple(tuple(col[mu].get(lam, 0) for lam in keys) for mu in keys)
@@ -247,11 +268,10 @@ def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
 
 
 @lru_cache(maxsize=None)
-def _columns(n: int, matrix: str) -> Mapping:
+def _columns(n: int, basis: str) -> Mapping:
     """lam_j -> the pairs (lam_i, entry) of the nonzero entries of column
-    j of a cached matrix of degree n: ``_transition_matrix(n, matrix)``
-    for e, h, p or s, ``_omega_matrix(n)`` for "omega"."""
-    parts, rows = _omega_matrix(n) if matrix == "omega" else _transition_matrix(n, matrix)
+    j of ``_transition_matrix(n, basis)``."""
+    parts, rows = _transition_matrix(n, basis)
     return MappingProxyType({
         lam: tuple((mu, row[j]) for mu, row in zip(parts, rows) if row[j])
         for j, lam in enumerate(parts)
@@ -259,8 +279,8 @@ def _columns(n: int, matrix: str) -> Mapping:
 
 
 def _apply(x: QSymElement, matrix: str, basis: str) -> QSymElement:
-    """sum_j x[lam_j] * (column j of a cached matrix), in ``basis``: one
-    pass over the nonzero entries of the columns ``_columns`` holds."""
+    """sum_j x[lam_j] * (column j of ``_transition_matrix(n, matrix)``),
+    in ``basis``: one pass over the nonzero entries ``_columns`` holds."""
     columns = _columns(x.n, matrix)
     acc = {}
     for lam, c in x.terms.items():
@@ -277,38 +297,3 @@ def contract_to_m(x: QSymElement) -> QSymElement:
     if x.basis == "m":
         return x
     return _apply(x, x.basis, "m")
-
-
-@lru_cache(maxsize=None)
-def _omega_matrix(n: int):
-    """(partitions of n in reverse lexicographic order, matrix), with
-    matrix[i][j] = [m_{lam_i}] omega(m_{lam_j}), all as tuples: column j
-    is the forgotten symmetric function f_{lam_j}.
-
-    omega s_lam = s_{lam'}, so the matrix is S C S^-1, in ints throughout:
-    S is the s matrix of ``_transition_matrix``, S[i][j] = K_{lam_j,lam_i},
-    lower unitriangular in this order (K_{lam,mu} != 0 needs lam to
-    dominate mu); C sends each partition to its conjugate; and S^-1 is
-    found by forward substitution. omega is an involution, so the matrix
-    squares to the identity. The M-basis ``omega`` of
-    ``m_partition_to_qsym(lam_j)``, read off by ``to_m_basis``, is the
-    oracle for each column."""
-    parts, s = _transition_matrix(n, "s")
-    k = len(parts)
-    inv = [[0] * k for _ in range(k)]
-    for j in range(k):
-        inv[j][j] = 1
-        for i in range(j + 1, k):
-            row = s[i]
-            inv[i][j] = -sum(row[l] * inv[l][j] for l in range(j, i))
-    index = {lam.parts: i for i, lam in enumerate(parts)}
-    # row i of C S^-1 is the row of S^-1 at the conjugate of lam_i
-    flipped = [inv[index[_conjugate(lam.parts)]] for lam in parts]
-    out = []
-    for row in s:
-        acc = [0] * k
-        for l, v in enumerate(row):
-            if v:
-                acc = [a + v * b for a, b in zip(acc, flipped[l])]
-        out.append(tuple(acc))
-    return parts, tuple(out)

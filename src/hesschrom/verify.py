@@ -47,13 +47,13 @@ from .chromatic import chromatic_qsym
 from .hessenberg import (
     Digraph,
     HessenbergFunction,
-    complement,
     digraph,
     enumerate_hessenberg,
     incomparability_graph,
     weight,
 )
-from .pathcovers import OrderedPathCover, cover_paths, ordered_path_covers, verify_reciprocity
+from .pathcovers import OrderedPathCover, _complement_of, cover_paths, ordered_path_covers
+from .pathcovers import verify_reciprocity
 from .qsym import QSymElement, f_to_m, is_symmetric, omega
 from .sym import generator
 
@@ -79,16 +79,16 @@ def verify_sw_betti(m: HessenbergFunction) -> Report:
 
 
 class InvalidCoverError(ValueError):
-    """A cover with a step that is not an edge of the complement of D(m)."""
-
-
-@functools.lru_cache(maxsize=8)
-def _complement_of(m: HessenbergFunction) -> Digraph:
-    """The complement of D(m), built once for all the covers of one m."""
-    return complement(digraph(m))
+    """Not an ordered path cover of the complement of D(m)."""
 
 
 def _checked_paths(cover: OrderedPathCover, m: HessenbergFunction):
+    """The paths of a checked cover: q is a permutation of 1..n, beta a
+    composition of n, and every step an edge of the complement of D(m)."""
+    if sorted(cover.q) != list(range(1, m.n + 1)):
+        raise InvalidCoverError(f"q={cover.q} is not a permutation of 1..{m.n}")
+    if cover.beta.n != m.n:
+        raise InvalidCoverError(f"beta={cover.beta} is not a composition of {m.n}")
     paths = cover_paths(cover)
     dbar = _complement_of(m)
     for path in paths:
@@ -107,6 +107,7 @@ def t_inversions_of_cover(cover: OrderedPathCover, m: HessenbergFunction):
 def sw_inversions_of_cover(cover: OrderedPathCover, m: HessenbergFunction):
     """Pairs (i, k) with i earlier in the sequencing and k < i <= m_k
     (the reduced form of the des-statistic pairs on the complement)."""
+    _checked_paths(cover, m)
     return reading_inversions(cover.q, m)
 
 

@@ -271,6 +271,18 @@ class TestReport:
         assert total.checked == 9
         assert [f["input"] for f in total.failures] == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("context", [None, "draw #4"])
+    def test_extend_copies_each_record(self, context):
+        """The merged report owns its records: editing one leaves the
+        report it came from as it was."""
+        part = Report("part", checked=1)
+        part.record("edges []", "equal", "differs")
+        total = Report("suite")
+        total.extend(part, context)
+        total.failures[0]["input"] = "edited"
+        total.failures[0]["note"] = "added"
+        assert part.failures == [{"input": "edges []", "expected": "equal", "actual": "differs"}]
+
     def test_extend_with_context_prefixes_inputs(self):
         part = Report("part", checked=1)
         part.record("edges []", "equal", "differs")

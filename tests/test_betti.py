@@ -193,6 +193,24 @@ class TestSwBijection:
                 OrderedPathCover((3, 1, 2), Composition((2, 1))), staircase(3)
             )
 
+    @pytest.mark.parametrize(
+        "read", [t_inversions_of_cover, sw_inversions_of_cover, sw_to_t_bijection]
+    )
+    @pytest.mark.parametrize(
+        "q, beta",
+        [
+            ((3, 1, 2), (3,)),  # 3 -> 1 is not an edge of the complement
+            ((1, 2), (3,)),  # q misses 3
+            ((1, 1, 2), (1, 2)),  # q repeats 1
+            ((1, 2, 3), (2, 2)),  # beta is a composition of 4
+        ],
+    )
+    def test_every_reader_rejects_a_non_cover(self, read, q, beta):
+        """The three public readers check each cover the same way: q is a
+        permutation of 1..n, beta a composition of n, each step an edge."""
+        with pytest.raises(InvalidCoverError):
+            read(OrderedPathCover(q, Composition(beta)), new_hessenberg(3, (2, 3)))
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_bijection_everywhere(self, n):
         for m in enumerate_hessenberg(n):

@@ -323,7 +323,7 @@ class TestOmegaMatrix:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_matrix_is_an_involution(self, n):
-        parts, matrix = sym._omega_matrix(n)
+        parts, matrix = sym._transition_matrix(n, "f")
         assert parts == tuple(partitions(n))
         k = len(parts)
         square = [
@@ -333,7 +333,7 @@ class TestOmegaMatrix:
         assert square == [[int(i == l) for l in range(k)] for i in range(k)]
 
     def test_cached_value_is_immutable(self):
-        parts, matrix = sym._omega_matrix(5)
+        parts, matrix = sym._transition_matrix(5, "f")
         assert type(parts) is tuple and type(matrix) is tuple
         assert all(type(row) is tuple for row in matrix)
         assert all(type(v) is int for row in matrix for v in row)

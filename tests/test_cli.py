@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hesschrom import pathcovers
+from hesschrom import pathcovers, verify
 from hesschrom.cli import run
 from hesschrom.verify import SUITES
 
@@ -150,6 +150,21 @@ class TestVerify:
         )
         assert code == 0
         assert out.startswith("PASS")
+
+    def test_seed_reaches_every_suite_that_takes_it(self, capsys, monkeypatch):
+        """verify passes --seed to a suite whose signature has a seed, not
+        to a list of suite names."""
+        seeds = []
+
+        def suite_probe(report, max_n: int = 1, seed: int = 0):
+            seeds.append(seed)
+            report.checked += 1
+
+        monkeypatch.setitem(SUITES, "probe", None)  # removed again after the test
+        verify._suite(suite_probe)
+        code, out, _ = capture(capsys, ["verify", "--suite", "probe", "--seed", "7"])
+        assert code == 0 and out.startswith("PASS suite=probe checked=1 ")
+        assert seeds == [7]
 
     def test_suite_that_checks_nothing_fails(self, capsys):
         for suite in sorted(SUITES):

@@ -42,7 +42,10 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "n, m, index",
-        [(3, (2.0, 3), 1), (3, (1.5, 3), 1), (3, (2, 3.0), 2), (3.0, (2, 3), 0)],
+        [
+            (3, (2.0, 3), 1), (3, (1.5, 3), 1), (3, (2, 3.0), 2), (3.0, (2, 3), 0),
+            (True, (), 0), (2, (True,), 1),
+        ],
     )
     def test_non_integer_rejected_with_its_index(self, n, m, index):
         with pytest.raises(HessenbergValidationError) as err:

@@ -208,7 +208,7 @@ def test_every_entry_point_keeps_the_one_size_guard(name, args):
 
 def test_guarded_table_lists_every_guarded_name():
     guarded = {n for n in PUBLIC if "Size guard:" in (getattr(hesschrom, n).__doc__ or "")}
-    assert guarded | {"enumerate_hessenberg"} == {name for name, _ in GUARDED}
+    assert guarded == {name for name, _ in GUARDED}
 
 
 def test_base_loads_without_inspect():

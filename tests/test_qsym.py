@@ -263,12 +263,12 @@ class TestTransitionMatrix:
             column = to_m_basis(generator(target, lam))
             assert [row[j] for row in matrix] == [column.coeff(mu).coeff(0) for mu in parts]
 
-    @pytest.mark.parametrize("matrix", ["e", "h", "p", "s", "omega"])
+    @pytest.mark.parametrize("matrix", ["e", "f", "h", "p", "s"])
     @pytest.mark.parametrize("n", range(0, 8))
     def test_column_map_holds_the_nonzero_columns(self, matrix, n):
         """``_apply`` reads ``_columns``: each partition's column of the
         cached matrix, zeros left out, rows in the matrix's order."""
-        parts, rows = sym._omega_matrix(n) if matrix == "omega" else sym._transition_matrix(n, matrix)
+        parts, rows = sym._transition_matrix(n, matrix)
         columns = sym._columns(n, matrix)
         assert list(columns) == list(parts)
         for j, lam in enumerate(parts):
@@ -325,7 +325,7 @@ class TestNoMBasisRoute:
     @pytest.fixture
     def omega_route_off(self, m_route_off, monkeypatch):
         """Also refuse ``to_m_basis``, ``m_partition_to_qsym`` and ``omega``
-        on anything but the m basis, and rebuild ``_omega_matrix``."""
+        on anything but the m basis, and rebuild the matrices."""
         real_omega = qsym.omega
 
         def m_basis_omega_only(x):
@@ -335,7 +335,7 @@ class TestNoMBasisRoute:
 
         self.refuse_in_qsym_and_sym(monkeypatch, ("to_m_basis", "m_partition_to_qsym"))
         monkeypatch.setattr(qsym, "omega", m_basis_omega_only)
-        sym._omega_matrix.cache_clear()
+        sym._transition_matrix.cache_clear()
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_round_trip(self, m_route_off, n):
@@ -349,7 +349,7 @@ class TestNoMBasisRoute:
         """Built from Kostka integers with the M-basis route refused, each
         column still equals the M-basis omega of m_lambda (this module's
         own bindings of the refused functions are the real ones)."""
-        parts, matrix = sym._omega_matrix(n)
+        parts, matrix = sym._transition_matrix(n, "f")
         assert parts == tuple(partitions(n))
         for j, lam in enumerate(parts):
             column = to_m_basis(omega(m_partition_to_qsym(lam)))
@@ -400,6 +400,17 @@ class TestConstruction:
         assert x.terms[mu] == TPoly({0: 2}) and x.terms[mu] is not q
         assert q.terms == {0: 1}
 
+    @pytest.mark.parametrize("coeff", ["x", None, 1.5, [1]])
+    def test_non_numeric_coefficient_is_a_type_error(self, coeff):
+        """A coefficient is a TPoly, an int or a Rational: the scalar rule
+        of TPoly's own arithmetic, which already refuses TPoly({0: "x"})."""
+        with pytest.raises(TypeError, match="coefficient"):
+            QSymElement(1, "m", {Partition((1,)): coeff})
+        with pytest.raises(TypeError, match="coefficient"):
+            QSymElement.monomial(Composition((1,)), "M", coeff)
+        with pytest.raises(TypeError):
+            TPoly({0: "x"})
+
     @pytest.mark.parametrize("terms", [
         {Partition((1, 1)): 1},
         [(Partition((2, 1)), 1), (Partition((2,)), 1)],
@@ -429,12 +440,12 @@ class TestBasisValidation:
         with pytest.raises(ValueError, match=f"contract_to_m .*'{basis}'"):
             contract_to_m(x)
 
-    @pytest.mark.parametrize("basis", ["M", "F", "q"])
+    @pytest.mark.parametrize("basis", ["M", "F", "f", "q"])
     def test_contract_to_m_checks_first(self, basis):
         with pytest.raises(ValueError, match=f"contract_to_m .*'{basis}'"):
             contract_to_m(self.Unread(basis))
 
-    @pytest.mark.parametrize("target", ["M", "F", "q"])
+    @pytest.mark.parametrize("target", ["M", "F", "f", "q"])
     @pytest.mark.parametrize("empty", [True, False])
     def test_expand_in_basis_rejects_target(self, target, empty):
         x = QSymElement(3, "m", None if empty else {Partition((2, 1)): 1})
