@@ -141,9 +141,9 @@ class _Frozen:
 
 class Report:
     """The result of a check: how many comparisons it made and a record of
-    each one that failed.  Per-input checks and whole suites share it.
-    Mutable and unhashable, with ``_Frozen``'s field-driven ``repr`` and
-    equality."""
+    each one that failed.  Per-input checks and whole suites share it and
+    make each comparison through ``check``.  Mutable and unhashable, with
+    ``_Frozen``'s field-driven ``repr`` and equality."""
 
     __slots__ = _fields = ("suite", "checked", "failures", "elapsed_ms")
     __hash__ = None
@@ -161,6 +161,15 @@ class Report:
     def ok(self) -> bool:
         """A check passes only if it checked something and nothing failed."""
         return self.checked > 0 and not self.failures
+
+    def check(self, passed: bool, failure) -> bool:
+        """Count one comparison and return passed.  Only a failure calls
+        failure() for its record (input, expected, actual): a pass formats
+        nothing."""
+        self.checked += 1
+        if not passed:
+            self.record(*failure())
+        return passed
 
     def record(self, input_desc: str, expected, actual):
         self.failures.append(
@@ -202,18 +211,23 @@ class TPoly(_Frozen):
     Fractions: inside a linear solve, and for good in the results that
     keep them, such as a p-basis expansion (``xg --m 2,3 --basis p`` prints
     1/3, -1/2 and 1/6), or ``frobenius_image`` of a class function that is
-    not a character.  Zero coefficients are never stored, so equality is
-    term-map equality, and a TPoly equals a scalar, and hashes like it,
-    exactly when it is constant at that scalar (the empty TPoly at 0).
+    not a character.  ``TPoly(terms)``, ``const`` and ``t`` raise
+    ``TypeError`` on any other coefficient (the scalar rule of the
+    arithmetic); ``_of`` trusts its caller.  Zero coefficients are never
+    stored, so equality is term-map equality, and a TPoly equals a scalar,
+    and hashes like it, exactly when it is constant at that scalar (the
+    empty TPoly at 0).
     """
 
     __slots__ = _fields = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = ()
-        elif isinstance(terms, Mapping):
+        if isinstance(terms, Mapping):
             terms = terms.items()
+        terms = [] if terms is None else list(terms)
+        for _, c in terms:
+            if not isinstance(c, (int, Rational)):
+                raise TypeError(f"coefficient {c!r} is not an int or a Rational")
         super().__init__(MappingProxyType(_merge({}, terms)))
 
     @classmethod
@@ -225,11 +239,11 @@ class TPoly(_Frozen):
 
     @classmethod
     def const(cls, c):
-        return cls._of({0: c} if c else {})
+        return cls({0: c})
 
     @classmethod
     def t(cls, exp=1, coeff=1):
-        return cls._of({exp: coeff} if coeff else {})
+        return cls({exp: coeff})
 
     def coeff(self, exp):
         return self.terms.get(exp, 0)
@@ -247,7 +261,7 @@ class TPoly(_Frozen):
         if isinstance(other, TPoly):
             return other
         if isinstance(other, (int, Rational)):
-            return TPoly.const(other)
+            return TPoly._of({0: other} if other else {})
         return None
 
     def __eq__(self, other):

@@ -244,7 +244,6 @@ def betti_vector_bruteforce(m: HessenbergFunction, lam: Partition) -> BettiVecto
 
 @guarded
 def check_palindromic(m: HessenbergFunction, lam: Partition) -> bool:
-    """Palindromicity of q(t) = sum_i beta_i t^(i - |m|) about 0."""
+    """Palindromicity of sum_i beta_i t^i about t^|m|, the middle degree."""
     bv = betti_vector(m, lam, force=True)
-    q = bv.poincare().shifted(-bv.weight)
-    return is_palindromic(q, 0)
+    return is_palindromic(bv.poincare(), bv.weight)

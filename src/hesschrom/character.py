@@ -183,9 +183,7 @@ def _negativity_report(suite: str, m: HessenbergFunction, triples) -> Report:
     """Count each (lambda, d, c) triple; record each c < 0."""
     report = Report(suite)
     for lam, d, c in triples:
-        report.checked += 1
-        if c < 0:
-            report.record(f"m={m}, lambda={lam}, t^{d}", ">= 0", c)
+        report.check(c >= 0, lambda: (f"m={m}, lambda={lam}, t^{d}", ">= 0", c))
     return report
 
 

@@ -118,20 +118,23 @@ def verify_reciprocity(d: Digraph) -> Report:
     """Compare omega(Xi_D) with Xi of the complement digraph as one check.
     A failure names the first composition where they differ and the lowest
     t-exponent of the difference."""
-    report = Report("reciprocity", checked=1)
     lhs = omega(path_qsym(d, "asc", force=True))
     rhs = path_qsym(complement(d), "asc", force=True)
-    if lhs != rhs:
+
+    def differs():
         keys = lhs.terms.keys() | rhs.terms.keys()
         alpha = min(
             (a for a in keys if lhs.coeff(a) != rhs.coeff(a)), key=lambda a: a.parts
         )
         diff = lhs.coeff(alpha) - rhs.coeff(alpha)
-        report.record(
+        return (
             f"vertices {sorted(d.vertices)}, edges {sorted(d.edges)}",
             "equal",
             f"differs at M_{alpha}, t^{min(diff.exponents())}",
         )
+
+    report = Report("reciprocity")
+    report.check(lhs == rhs, differs)
     return report
 
 

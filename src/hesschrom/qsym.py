@@ -147,6 +147,8 @@ class QSymElement(_Frozen):
         )
 
     def __sub__(self, other):
+        if not isinstance(other, QSymElement):
+            return NotImplemented
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "QSymElement":
@@ -155,11 +157,7 @@ class QSymElement(_Frozen):
 
     def t_slice(self, d: int) -> "QSymElement":
         """Constant-coefficient element holding the t^d coefficients."""
-        return QSymElement(
-            self.n,
-            self.basis,
-            {k: TPoly.const(c.coeff(d)) for k, c in self.terms.items()},
-        )
+        return QSymElement(self.n, self.basis, {k: c.coeff(d) for k, c in self.terms.items()})
 
     def sorted_terms(self):
         """(key, coefficient) pairs, partitions in descending order and

@@ -35,7 +35,6 @@ from .base import (
     Composition,
     DegreeMismatchError,
     Partition,
-    TPoly,
     compositions,
     partitions,
     rearrangements,
@@ -84,7 +83,7 @@ def kostka_bruteforce(lam: Partition, mu: Partition) -> int:
 @lru_cache(maxsize=None)
 def _one_part_generator(kind: str, k: int) -> QSymElement:
     if k == 0:
-        return QSymElement(0, "M", {Composition(()): TPoly.const(1)})
+        return QSymElement(0, "M", {Composition(()): 1})
     if kind == "p":
         return QSymElement.monomial(Composition((k,)), "M")
     if kind == "e":
@@ -111,7 +110,7 @@ def generator(kind: str, lam: Partition) -> QSymElement:
         return QSymElement(lam.n, "M", terms)
     if kind not in ("e", "h", "p"):
         raise ValueError(f"unknown generator kind: {kind!r}")
-    out = QSymElement(0, "M", {Composition(()): TPoly.const(1)})
+    out = QSymElement(0, "M", {Composition(()): 1})
     for part in lam.parts:
         out = quasi_shuffle(out, _one_part_generator(kind, part))
     return out

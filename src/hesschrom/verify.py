@@ -1,10 +1,12 @@
 """Brute-force verification suites for the library's identities.
 
-Every check returns a ``Report`` (defined in ``base``): the per-input
-checks (``verify_sw_betti`` here, ``verify_reciprocity`` in ``pathcovers``,
-the positivity reports in ``character``) record their own failures, and
-the suites built on them merge their reports with ``Report.extend``.  A report passes iff
-it checked something and recorded no failure.
+Every check returns a ``Report`` (defined in ``base``) and makes each
+comparison through ``Report.check``, which counts it and builds its record
+only if it failed.  The per-input checks (``verify_sw_betti`` here,
+``verify_reciprocity`` in ``pathcovers``, the positivity reports in
+``character``) fill in their own reports, and the suites built on them
+merge those with ``Report.extend``.  A report passes iff it checked
+something and recorded no failure.
 
 Each suite is a ``suite_<name>`` function declared with ``@_suite``, which
 registers it in ``SUITES`` under ``<name>``, hands it a fresh ``Report``
@@ -25,7 +27,7 @@ import math
 import random
 import time
 
-from .base import Partition, Report, compositions, guarded, partitions
+from .base import Partition, Report, compositions, guarded, is_palindromic, partitions
 from .betti import (
     admissible_tableaux,
     betti_vector,
@@ -68,13 +70,11 @@ def verify_sw_betti(m: HessenbergFunction) -> Report:
         bv = bv.as_dict()
         c = wx.coeff(lam)
         for d in sorted(c.terms.keys() | {deg // 2 for deg in bv}):
-            report.checked += 1
-            lhs = bv.get(2 * d, 0)
-            rhs = c.coeff(d)
-            if lhs != rhs:
-                report.record(
-                    f"m={m}, lambda={lam}, d={d}", f"c={rhs}", f"beta_2d={lhs}"
-                )
+            lhs, rhs = bv.get(2 * d, 0), c.coeff(d)
+            report.check(
+                lhs == rhs,
+                lambda: (f"m={m}, lambda={lam}, d={d}", f"c={rhs}", f"beta_2d={lhs}"),
+            )
     return report
 
 
@@ -199,9 +199,7 @@ def suite_symmetry(report: Report, max_n: int = 6):
     """X_{G(m)}(t) is a symmetric function for every Hessenberg m."""
     for m in _all_hessenberg(max_n):
         x = chromatic_qsym(incomparability_graph(m), "asc", force=True)
-        report.checked += 1
-        if not is_symmetric(x):
-            report.record(f"m={m}", "symmetric", "not symmetric")
+        report.check(is_symmetric(x), lambda: (f"m={m}", "symmetric", "not symmetric"))
 
 
 @_suite
@@ -217,10 +215,8 @@ def suite_unified(report: Report, max_n: int = 6):
     for m in _all_hessenberg(max_n):
         for lam in partitions(m.n):
             for t in admissible_tableaux(m, lam, force=True):
-                report.checked += 1
                 a, b = cell_dimension(t, m), unified_dimension(t, m)
-                if a != b:
-                    report.record(f"m={m}, T={t.rows}", a, b)
+                report.check(a == b, lambda: (f"m={m}, T={t.rows}", a, b))
 
 
 @_suite
@@ -228,22 +224,19 @@ def suite_bijection(report: Report, max_n: int = 5):
     """The SW-to-T scan is a bijection for every ordered path cover."""
     for m in _all_hessenberg(max_n):
         for cover in ordered_path_covers(_complement_of(m), force=True):
-            report.checked += 1
             paths = _checked_paths(cover, m)
             sw = reading_inversions(cover.q, m)
             tv = t_inversions(paths, m)
             mapping = _sw_to_t(paths, sw, m)
             image = set(mapping.values())
-            if (
-                set(mapping) != sw
-                or len(image) != len(mapping)
-                or image != tv
-            ):
-                report.record(
+            report.check(
+                set(mapping) == sw and len(image) == len(mapping) and image == tv,
+                lambda: (
                     f"m={m}, cover q={cover.q}, beta={cover.beta}",
                     f"bijection onto {sorted(tv)}",
                     f"map {mapping}",
-                )
+                ),
+            )
 
 
 @_suite
@@ -253,19 +246,16 @@ def suite_palindromic(report: Report, max_n: int = 6):
     for m in _all_hessenberg(max_n):
         w = weight(m)
         for lam, bv in betti_vectors(m, force=True).items():
-            q = bv.poincare().shifted(-w)
-            report.checked += 1
-            if q != q.reciprocal():
-                report.record(f"m={m}, lambda={lam}", "palindromic", str(q))
-        x = x_of(m, force=True)
-        for lam, poly in x.terms.items():
-            report.checked += 1
-            if poly != poly.reciprocal().shifted(w):
-                report.record(
-                    f"m={m}, coefficient of m_{lam}",
-                    "t^|m|-palindromic",
-                    str(poly),
-                )
+            report.check(
+                is_palindromic(bv.poincare(), bv.weight),
+                lambda: (f"m={m}, lambda={lam}", "palindromic", bv.poincare().shifted(-w)),
+            )
+        # an odd |m| puts the centre of X's coefficients at a half-integer
+        for lam, poly in x_of(m, force=True).terms.items():
+            report.check(
+                poly == poly.reciprocal().shifted(w),
+                lambda: (f"m={m}, coefficient of m_{lam}", "t^|m|-palindromic", poly),
+            )
 
 
 @_suite
@@ -289,22 +279,24 @@ def suite_omega(report: Report, max_n: int = 8):
     for n in range(1, max_n + 1):
         for alpha in compositions(n):
             m_alpha = QSymElement.monomial(alpha, "M")
-            report.checked += 1
-            if omega(omega(m_alpha)) != m_alpha:
-                report.record(f"omega^2 on M_{alpha}", m_alpha, omega(omega(m_alpha)))
+            twice = omega(omega(m_alpha))
+            report.check(twice == m_alpha, lambda: (f"omega^2 on M_{alpha}", m_alpha, twice))
             f_alpha = f_to_m(QSymElement.monomial(alpha, "F"))
-            f_comp = f_to_m(QSymElement.monomial(alpha.complement(), "F"))
-            report.checked += 1
-            if omega(f_alpha) != f_comp:
-                report.record(f"omega on F_{alpha}", f"F_{alpha.complement()}", "differs")
+            comp = alpha.complement()
+            report.check(
+                omega(f_alpha) == f_to_m(QSymElement.monomial(comp, "F")),
+                lambda: (f"omega on F_{alpha}", f"F_{comp}", "differs"),
+            )
         for lam in partitions(n):
-            report.checked += 1
-            if omega(generator("e", lam)) != generator("h", lam):
-                report.record(f"omega e_{lam}", f"h_{lam}", "differs")
+            report.check(
+                omega(generator("e", lam)) == generator("h", lam),
+                lambda: (f"omega e_{lam}", f"h_{lam}", "differs"),
+            )
         pk = generator("p", Partition((n,)))
-        report.checked += 1
-        if omega(pk) != pk.scaled((-1) ** (n - 1)):
-            report.record(f"omega p_{n}", f"(-1)^{n - 1} p_{n}", "differs")
+        report.check(
+            omega(pk) == pk.scaled((-1) ** (n - 1)),
+            lambda: (f"omega p_{n}", f"(-1)^{n - 1} p_{n}", "differs"),
+        )
 
 
 @_suite
@@ -317,16 +309,12 @@ def suite_character(report: Report, max_n: int = 6):
         bv = betti_vector(m, column, force=True).as_dict()
         for d in range(weight(m) + 1):
             chi = dot_character(m, d, force=True)  # raises IntegralityError on failure
-            report.checked += 1
-            if frobenius_image(chi) != wx.t_slice(d):
-                report.record(f"m={m}, d={d}", "ch(chi) = slice of omega X", "differs")
-            report.checked += 1
-            if chi.dimension() != bv.get(2 * d, 0):
-                report.record(
-                    f"m={m}, d={d}",
-                    f"chi(1^n) = {bv.get(2 * d, 0)}",
-                    chi.dimension(),
-                )
+            report.check(
+                frobenius_image(chi) == wx.t_slice(d),
+                lambda: (f"m={m}, d={d}", "ch(chi) = slice of omega X", "differs"),
+            )
+            dim, beta = chi.dimension(), bv.get(2 * d, 0)
+            report.check(dim == beta, lambda: (f"m={m}, d={d}", f"chi(1^n) = {beta}", dim))
 
 
 @_suite
@@ -335,10 +323,10 @@ def suite_points(report: Report, max_n: int = 6):
     for m in _all_hessenberg(max_n):
         points = math.factorial(m.n)
         bv = betti_vector(m, Partition((1,) * m.n), force=True)
-        report.checked += 1
-        if bv.total() != points:
-            report.record(f"m={m}", points, bv.total())
+        total = bv.total()
+        report.check(total == points, lambda: (f"m={m}", points, total))
         if weight(m) == 0:
-            report.checked += 1
-            if bv.as_dict() != {0: points}:
-                report.record(f"staircase m={m}", {0: points}, bv.as_dict())
+            values = bv.as_dict()
+            report.check(
+                values == {0: points}, lambda: (f"staircase m={m}", {0: points}, values)
+            )

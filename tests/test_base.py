@@ -37,6 +37,8 @@ class TestTPoly:
         assert TPoly({0: 1, 2: 0}).terms == {0: 1}
         assert TPoly({1: 2}) - TPoly({1: 2}) == TPoly()
         assert not TPoly()
+        assert TPoly.const(0).terms == {} and TPoly.t(1, Fraction(0)).terms == {}
+        assert TPoly.t().terms == {1: 1} and TPoly.t(3, -2).terms == {3: -2}
 
     def test_built_from_a_read_only_mapping_or_pairs(self):
         p = TPoly({-1: 3, 0: 1})
@@ -102,6 +104,24 @@ class TestTPoly:
         for x in (a, b):
             if not isinstance(x, TPoly):
                 assert TPoly.const(x) == x and hash(TPoly.const(x)) == hash(x)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TPoly({0: 1.5}),
+            lambda: TPoly([(1, 2), (0, 1.5)]),
+            lambda: TPoly.const(1.5),
+            lambda: TPoly.const(None),
+            lambda: TPoly.t(1, "x"),
+            lambda: TPoly.t(2, 0.5),
+        ],
+        ids=["dict", "pairs", "const", "const-none", "t-str", "t-float"],
+    )
+    def test_every_constructor_takes_only_exact_coefficients(self, build):
+        """The scalar rule of TPoly's arithmetic, an int or a Rational, holds
+        in each public constructor too."""
+        with pytest.raises(TypeError, match="coefficient"):
+            build()
 
     def test_a_constant_and_its_scalar_are_one_set_member(self):
         assert len({TPoly.const(2), 2}) == 1
@@ -253,6 +273,18 @@ class TestReport:
     def test_checking_nothing_is_not_ok(self):
         assert not Report("empty").ok
         assert Report("one", checked=1).ok
+
+    def test_check_counts_every_comparison_and_records_only_failures(self):
+        def unreachable():
+            raise AssertionError("a passing comparison built its record")
+
+        report = Report("one")
+        assert report.check(True, unreachable) is True
+        assert report.check(False, lambda: ("x=1", 2, 3)) is False
+        assert report.check(True, unreachable) is True
+        assert report.checked == 3
+        assert report.failures == [{"input": "x=1", "expected": "2", "actual": "3"}]
+        assert not report.ok
 
     def test_a_failure_is_not_ok(self):
         report = Report("one", checked=1)

@@ -400,6 +400,17 @@ class TestConstruction:
         assert x.terms[mu] == TPoly({0: 2}) and x.terms[mu] is not q
         assert q.terms == {0: 1}
 
+    @pytest.mark.parametrize(
+        "other", [1, Fraction(1, 2), TPoly.const(1), "x"], ids=["int", "fraction", "tpoly", "str"]
+    )
+    def test_adding_or_subtracting_a_non_element_is_a_type_error(self, other):
+        x = QSymElement(1, "m", {Partition((1,)): 1})
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            x - other
+        assert QSymElement.__sub__(x, other) is NotImplemented
+
     @pytest.mark.parametrize("coeff", ["x", None, 1.5, [1]])
     def test_non_numeric_coefficient_is_a_type_error(self, coeff):
         """A coefficient is a TPoly, an int or a Rational: the scalar rule
