@@ -16,7 +16,6 @@ from .base import (
     z_of,
 )
 from .betti import (
-    BettiVector,
     Tableau,
     admissible_tableaux,
     betti_vector,
@@ -55,7 +54,6 @@ from .hessenberg import (
     digraph,
     enumerate_hessenberg,
     incomparability_graph,
-    new_hessenberg,
     poset_relation,
     staircase,
     weight,

@@ -213,10 +213,10 @@ class TPoly(_Frozen):
     1/3, -1/2 and 1/6), or ``frobenius_image`` of a class function that is
     not a character.  ``TPoly(terms)``, ``const`` and ``t`` raise
     ``TypeError`` on any other coefficient (the scalar rule of the
-    arithmetic); ``_of`` trusts its caller.  Zero coefficients are never
-    stored, so equality is term-map equality, and a TPoly equals a scalar,
-    and hashes like it, exactly when it is constant at that scalar (the
-    empty TPoly at 0).
+    arithmetic) and on an exponent that is not an int; ``_of`` trusts its
+    caller.  Zero coefficients are never stored, so equality is term-map
+    equality, and a TPoly equals a scalar, and hashes like it, exactly when
+    it is constant at that scalar (the empty TPoly at 0).
     """
 
     __slots__ = _fields = ("terms",)
@@ -225,7 +225,9 @@ class TPoly(_Frozen):
         if isinstance(terms, Mapping):
             terms = terms.items()
         terms = [] if terms is None else list(terms)
-        for _, c in terms:
+        for e, c in terms:
+            if not isinstance(e, int):
+                raise TypeError(f"exponent {e!r} is not an int")
             if not isinstance(c, (int, Rational)):
                 raise TypeError(f"coefficient {c!r} is not an int or a Rational")
         super().__init__(MappingProxyType(_merge({}, terms)))

@@ -2,6 +2,11 @@
 varieties: admissible tableaux, cell dimensions, Betti vectors and their
 palindromicity.
 
+A Betti vector is the ``TPoly`` sum_d beta_{2d} t^d, in which t^d counts
+H^{2d}: the type of the coefficient [m_lambda] omega X_{G(m)}(t) that it
+equals, so the two sides of the main identity compare as polynomials.
+Only the CLI prints the cohomological degree 2d.
+
 The Betti numbers come from a dynamic programme over reading-order
 prefixes: the unified statistic charges each entry k for the entries i
 with k < i <= m_k read before it, so a prefix of the reading word matters
@@ -36,7 +41,7 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .base import Partition, TPoly, _Frozen, guarded, is_palindromic, partitions
+from .base import Partition, TPoly, _Frozen, guarded, partitions
 from .hessenberg import HessenbergFunction, weight
 
 
@@ -55,29 +60,13 @@ class Tableau(_Frozen):
         super().__init__(shape, rows)
 
 
-class BettiVector(_Frozen):
-    __slots__ = _fields = ("values", "weight")
-
-    def __init__(self, values: tuple, weight: int):
-        # values: pairs (2d, count), increasing degree
-        super().__init__(values, weight)
-
-    def as_dict(self):
-        return dict(self.values)
-
-    def total(self) -> int:
-        return sum(c for _, c in self.values)
-
-    def poincare(self) -> TPoly:
-        return TPoly({deg: c for deg, c in self.values})
-
-
 @guarded
 def admissible_tableaux(m: HessenbergFunction, lam: Partition):
     """All fillings with k immediately left of j only if k <= m_j."""
     if lam.n != m.n:
         raise ValueError(f"{lam} is not a partition of {m.n}")
     shape = lam.parts
+    cap = m.m + (m.n,)
     out = []
     for perm in itertools.permutations(range(1, m.n + 1)):
         rows, pos = [], 0
@@ -85,7 +74,7 @@ def admissible_tableaux(m: HessenbergFunction, lam: Partition):
             rows.append(perm[pos : pos + width])
             pos += width
         if all(
-            row[c] <= m.m_at(row[c + 1])
+            row[c] <= cap[row[c + 1] - 1]
             for row in rows
             for c in range(len(row) - 1)
         ):
@@ -140,9 +129,9 @@ def unified_dimension(t: Tableau, m: HessenbergFunction) -> int:
 
 
 def _walk(m: HessenbergFunction, path=None) -> dict:
-    """Row lengths, bottom row first -> ``BettiVector`` of that shape, for
-    every shape on the trie, or only for the shape whose row lengths are
-    ``path``.
+    """Row lengths, bottom row first -> the Betti vector sum_d count_d t^d
+    of that shape, for every shape on the trie, or only for the shape whose
+    row lengths are ``path``.
 
     Placing k right after j in a row needs j <= m_k, so the values barred
     after j are the k with m_k < j, an initial segment, and the future of
@@ -152,7 +141,8 @@ def _walk(m: HessenbergFunction, path=None) -> dict:
     ones above it; a row starts with none barred. Its value packs
     sum_d count_d t^d into one int, count_d at bit ``field * d``; no count
     exceeds n!, so the fields never carry. Placing k shifts the value by
-    the number of placed values in k+1..m_k."""
+    the number of placed values in k+1..m_k, and the fields are read back
+    into a ``TPoly`` once per shape."""
     n = m.n
     cap = [0] + [m.m_at(k) for k in range(1, n + 1)]
     charged = [0] + [(1 << cap[k]) - (1 << k) for k in range(1, n + 1)]
@@ -200,23 +190,23 @@ def _walk(m: HessenbergFunction, path=None) -> dict:
 
     grow({0: 1}, (), 0)
     mask = (1 << field) - 1
-    vectors = {}
+    polys = {}
     for rows, value in out.items():
-        values, d = [], 0
+        counts, d = {}, 0
         while value:
             if value & mask:
-                values.append((2 * d, value & mask))
+                counts[d] = value & mask
             value >>= field
             d += 1
-        vectors[rows[::-1]] = BettiVector(tuple(values), weight(m))
-    return vectors
+        polys[rows[::-1]] = TPoly._of(counts)
+    return polys
 
 
 @guarded
-def betti_vector(m: HessenbergFunction, lam: Partition) -> BettiVector:
-    """Count admissible tableaux of shape lam by unified dimension, one
-    reading-order position at a time: the one path of lam's row lengths
-    through the walk of ``betti_vectors``."""
+def betti_vector(m: HessenbergFunction, lam: Partition) -> TPoly:
+    """sum_d beta_{2d} t^d: admissible tableaux of shape lam counted by
+    unified dimension d, one reading-order position at a time, along the
+    one path of lam's row lengths through the walk of ``betti_vectors``."""
     if lam.n != m.n:
         raise ValueError(f"{lam} is not a partition of {m.n}")
     return _walk(m, lam.parts[::-1])[lam.parts]
@@ -232,18 +222,15 @@ def betti_vectors(m: HessenbergFunction) -> dict:
 
 
 @guarded
-def betti_vector_bruteforce(m: HessenbergFunction, lam: Partition) -> BettiVector:
-    """Oracle for ``betti_vector``: filter all n! fillings, then sum
-    Tymoczko's two-case ``cell_dimension`` over the admissible ones."""
-    counts = {}
-    for t in admissible_tableaux(m, lam, force=True):
-        d = cell_dimension(t, m)
-        counts[2 * d] = counts.get(2 * d, 0) + 1
-    return BettiVector(tuple(sorted(counts.items())), weight(m))
+def betti_vector_bruteforce(m: HessenbergFunction, lam: Partition) -> TPoly:
+    """Oracle for ``betti_vector``: filter all n! fillings, then count the
+    admissible ones by Tymoczko's two-case ``cell_dimension``."""
+    return TPoly((cell_dimension(t, m), 1) for t in admissible_tableaux(m, lam, force=True))
 
 
 @guarded
 def check_palindromic(m: HessenbergFunction, lam: Partition) -> bool:
-    """Palindromicity of sum_i beta_i t^i about t^|m|, the middle degree."""
-    bv = betti_vector(m, lam, force=True)
-    return is_palindromic(bv.poincare(), bv.weight)
+    """Palindromicity of sum_d beta_{2d} t^d about the middle degree:
+    p(t) = t^|m| p(1/t)."""
+    p = betti_vector(m, lam, force=True)
+    return p == p.reciprocal().shifted(weight(m))

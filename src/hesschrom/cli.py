@@ -24,6 +24,7 @@ from .hessenberg import (
     HessenbergFunction,
     enumerate_hessenberg,
     incomparability_graph,
+    weight,
 )
 
 
@@ -102,14 +103,11 @@ def _cmd_betti(args):
     from .betti import betti_vector
     m = _parse_hessenberg(args)
     lam = Partition(_parse_ints(args.lam))
-    bv = betti_vector(m, lam, max_n=args.max_n, force=args.force)
-    doc = {
-        "m": list(m.m),
-        "lambda": list(lam.parts),
-        "weight": bv.weight,
-        "betti": [[deg, c] for deg, c in bv.values],
-    }
-    return 0, doc, (f"beta[{deg}] = {c}" for deg, c in bv.values)
+    p = betti_vector(m, lam, max_n=args.max_n, force=args.force)
+    # t^d counts H^{2d}: print the cohomological degree 2d
+    betti = [[2 * d, p.terms[d]] for d in p.exponents()]
+    doc = {"m": list(m.m), "lambda": list(lam.parts), "weight": weight(m), "betti": betti}
+    return 0, doc, (f"beta[{deg}] = {c}" for deg, c in betti)
 
 
 def _cmd_character(args):

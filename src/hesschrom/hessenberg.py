@@ -93,15 +93,12 @@ class HessenbergFunction(_Frozen):
         super().__init__(n, m)
 
     def m_at(self, i: int) -> int:
-        if i == self.n:
-            return self.n
-        return self.m[i - 1]
+        if not 1 <= i <= self.n:
+            raise IndexError(f"m_{i} is defined only for 1 <= i <= n={self.n}")
+        return self.m[i - 1] if i < self.n else self.n
 
     def __str__(self):
         return "(" + ",".join(map(str, self.m)) + ")"
-
-
-new_hessenberg = HessenbergFunction
 
 
 def staircase(n: int) -> HessenbergFunction:

@@ -25,7 +25,8 @@ import itertools
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .base import Composition, DegreeMismatchError, TPoly, _Frozen, _merge, rearrangements
+from .base import Composition, DegreeMismatchError, Partition, TPoly, _Frozen, _merge
+from .base import rearrangements
 
 
 class NotSymmetricError(ValueError):
@@ -94,7 +95,8 @@ class QSymElement(_Frozen):
     """Immutable finite map from keys of degree n to TPoly, tagged with a
     basis: compositions for the quasisymmetric bases M and F, partitions
     for the symmetric bases m, e, h, p and s (a symmetric function is a
-    quasisymmetric one read in another basis).
+    quasisymmetric one read in another basis).  A key of the other kind
+    raises ``TypeError``, and one of another degree ``DegreeMismatchError``.
 
     Elements are shared through lru caches, so ``terms`` is a read-only
     mapping, as is each coefficient's, and, as for every ``_Frozen``
@@ -111,13 +113,15 @@ class QSymElement(_Frozen):
     def __init__(self, n: int, basis: str, terms=None):
         if basis not in QSYM_BASES + SYM_BASES:
             raise ValueError(f"unknown basis: {basis!r}")
+        kind = Composition if basis in QSYM_BASES else Partition
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, c in items:
+                if not isinstance(key, kind):
+                    raise TypeError(f"basis {basis} takes {kind.__name__} keys, not {key!r}")
                 if key.n != n:
-                    kind = "composition" if basis in QSYM_BASES else "partition"
-                    raise DegreeMismatchError(f"{key} is not a {kind} of {n}")
+                    raise DegreeMismatchError(f"{key} is not a {kind.__name__.lower()} of {n}")
                 c = _coerce_poly(c)
                 if key in clean:
                     c = clean[key] + c

@@ -123,6 +123,22 @@ class TestTPoly:
         with pytest.raises(TypeError, match="coefficient"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TPoly({1.5: 1}),
+            lambda: TPoly([(1, 2), ("a", 1)]),
+            lambda: TPoly.t("a"),
+            lambda: TPoly.t(0.5),
+            lambda: TPoly.t(Fraction(1, 2)),
+        ],
+        ids=["dict", "pairs", "t-str", "t-float", "t-fraction"],
+    )
+    def test_every_constructor_takes_only_int_exponents(self, build):
+        """A TPoly is a Laurent polynomial: t^0.5 cannot be built."""
+        with pytest.raises(TypeError, match="exponent"):
+            build()
+
     def test_a_constant_and_its_scalar_are_one_set_member(self):
         assert len({TPoly.const(2), 2}) == 1
         assert len({TPoly(), 0, Fraction(0)}) == 1

@@ -3,24 +3,24 @@ import math
 import pytest
 
 from hesschrom import character
-from hesschrom.base import BoundExceededError, Composition, Partition, partitions
+from hesschrom.base import BoundExceededError, Composition, Partition, TPoly, partitions
 from hesschrom.betti import (
-    BettiVector,
     Tableau,
     admissible_tableaux,
     betti_vector,
+    betti_vectors,
     cell_dimension,
     check_palindromic,
     reading_inversions,
     t_inversions,
     unified_dimension,
 )
-from hesschrom.character import c_coeffs
+from hesschrom.character import c_coeffs, omega_x_of
 from hesschrom.hessenberg import (
+    HessenbergFunction,
     complement,
     digraph,
     enumerate_hessenberg,
-    new_hessenberg,
     staircase,
     weight,
 )
@@ -45,12 +45,12 @@ def tab(shape, *rows):
 
 class TestAdmissibleTableaux:
     def test_row_shape_n2(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         ts = admissible_tableaux(m, Partition((2,)))
         assert {t.rows for t in ts} == {((1, 2),), ((2, 1),)}
 
     def test_column_shape_n2(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         ts = admissible_tableaux(m, Partition((1, 1)))
         assert len(ts) == 2
 
@@ -66,12 +66,12 @@ class TestAdmissibleTableaux:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            admissible_tableaux(new_hessenberg(2, (2,)), Partition((3,)))
+            admissible_tableaux(HessenbergFunction(2, (2,)), Partition((3,)))
 
 
 class TestCellDimension:
     def test_examples(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         assert cell_dimension(tab((2,), (2, 1)), m) == 1
         assert cell_dimension(tab((2,), (1, 2)), m) == 0
         assert cell_dimension(tab((1, 1), (1,), (2,)), m) == 1
@@ -79,7 +79,7 @@ class TestCellDimension:
     def test_right_neighbor_blocks_pair(self):
         # m=(2,3,4), row [3,2,1,4]: pair (3,2) is blocked because the box
         # right of 2 holds 1 and 3 > m_1 = 2; pairs (3,1) and (2,1) count
-        m = new_hessenberg(4, (2, 3, 4))
+        m = HessenbergFunction(4, (2, 3, 4))
         t = tab((4,), (3, 2, 1, 4))
         assert t in admissible_tableaux(m, Partition((4,)))
         assert cell_dimension(t, m) == 2
@@ -89,14 +89,14 @@ class TestCellDimension:
 
     def test_rows_of_any_lengths_bottom_first(self):
         # m=(3,3): the bottom row (1,3) is longer than the row (2,) above it
-        m = new_hessenberg(3, (3, 3))
+        m = HessenbergFunction(3, (3, 3))
         assert t_inversions(((1, 3), (2,)), m) == {(3, 2)}
         assert t_inversions(((2,), (1, 3)), m) == {(2, 1)}
 
 
 class TestUnifiedDimension:
     def test_matches_cell_dimension_examples(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         for t in (tab((2,), (2, 1)), tab((2,), (1, 2)), tab((1, 1), (1,), (2,))):
             assert unified_dimension(t, m) == cell_dimension(t, m)
 
@@ -108,7 +108,7 @@ class TestUnifiedDimension:
 
     def test_reversed_row_maximal(self):
         for n in range(2, 6):
-            m = new_hessenberg(n, (n,) * (n - 1))
+            m = HessenbergFunction(n, (n,) * (n - 1))
             t = tab((n,), tuple(range(n, 0, -1)))
             assert unified_dimension(t, m) == n * (n - 1) // 2
 
@@ -122,30 +122,30 @@ class TestUnifiedDimension:
 
 class TestBettiVector:
     def test_examples(self):
-        m = new_hessenberg(2, (2,))
-        assert betti_vector(m, Partition((2,))).as_dict() == {0: 1, 2: 1}
-        assert betti_vector(m, Partition((1, 1))).as_dict() == {0: 1, 2: 1}
+        m = HessenbergFunction(2, (2,))
+        assert betti_vector(m, Partition((2,))) == TPoly({0: 1, 1: 1})
+        assert betti_vector(m, Partition((1, 1))) == TPoly({0: 1, 1: 1})
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_staircase_points(self, n):
         bv = betti_vector(staircase(n), Partition((1,) * n))
-        assert bv.as_dict() == {0: math.factorial(n)}
+        assert bv == TPoly({0: math.factorial(n)})
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_column_total_is_factorial(self, n):
         for m in enumerate_hessenberg(n):
-            assert betti_vector(m, Partition((1,) * n)).total() == math.factorial(n)
+            assert betti_vector(m, Partition((1,) * n)).evaluate(1) == math.factorial(n)
 
 
 class TestCCoeffs:
     def test_n2(self):
-        cc = c_coeffs(new_hessenberg(2, (2,)))
+        cc = c_coeffs(HessenbergFunction(2, (2,)))
         two, pair = Partition((2,)), Partition((1, 1))
         assert cc == {(0, two): 1, (1, two): 1, (0, pair): 1, (1, pair): 1}
 
     def test_size_guard(self, monkeypatch):
         """The guard is checked before ``omega_x_of`` is read."""
-        m = new_hessenberg(9, tuple(range(2, 10)))
+        m = HessenbergFunction(9, tuple(range(2, 10)))
 
         def unreachable(m):
             raise AssertionError("omega_x_of read before the size guard")
@@ -175,13 +175,13 @@ class TestCCoeffs:
 
 class TestSwBijection:
     def test_n2_example(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         cover = OrderedPathCover((2, 1), Composition((2,)))
         mapping = sw_to_t_bijection(cover, m)
         assert mapping == {(2, 1): (2, 1)}
 
     def test_no_inversions_maps_empty(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         cover = OrderedPathCover((1, 2), Composition((2,)))
         assert sw_to_t_bijection(cover, m) == {}
         assert t_inversions_of_cover(cover, m) == set()
@@ -209,7 +209,7 @@ class TestSwBijection:
         """The three public readers check each cover the same way: q is a
         permutation of 1..n, beta a composition of n, each step an edge."""
         with pytest.raises(InvalidCoverError):
-            read(OrderedPathCover(q, Composition(beta)), new_hessenberg(3, (2, 3)))
+            read(OrderedPathCover(q, Composition(beta)), HessenbergFunction(3, (2, 3)))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_bijection_everywhere(self, n):
@@ -243,7 +243,7 @@ class TestSwBijection:
 
 class TestVerifySwBetti:
     def test_n2(self):
-        assert verify_sw_betti(new_hessenberg(2, (2,))).ok
+        assert verify_sw_betti(HessenbergFunction(2, (2,))).ok
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_all_small(self, n):
@@ -256,12 +256,21 @@ class TestVerifySwBetti:
         report = verify_sw_betti(m)
         assert report.ok
         for lam in partitions(n):
-            assert set(betti_vector(m, lam).as_dict()) <= {0}
+            assert set(betti_vector(m, lam).terms) <= {0}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_betti_vectors_are_the_coefficients_of_omega_x(n):
+    """The main identity as one equality: for every lambda, the Betti vector
+    sum_d beta_{2d} t^d is the TPoly [m_lambda] omega X_{G(m)}(t)."""
+    for m in enumerate_hessenberg(n):
+        wx = omega_x_of(m)
+        assert betti_vectors(m) == {lam: wx.coeff(lam) for lam in partitions(n)}, m
 
 
 class TestPalindromic:
     def test_examples(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         assert check_palindromic(m, Partition((2,)))
         for n in range(1, 6):
             assert check_palindromic(staircase(n), Partition((1,) * n))

@@ -6,9 +6,9 @@ from hesschrom.base import Composition, TPoly
 from hesschrom.chromatic import chromatic_qsym, stable_ordered_partitions
 from hesschrom.hessenberg import (
     Graph,
+    HessenbergFunction,
     enumerate_hessenberg,
     incomparability_graph,
-    new_hessenberg,
 )
 from hesschrom.qsym import QSymElement, is_symmetric
 
@@ -79,7 +79,7 @@ class TestChromaticQsym:
 
     @pytest.mark.parametrize("stat", ["asc", "des"])
     def test_path_matches_coloring_oracle(self, stat):
-        m = new_hessenberg(3, (2, 3))
+        m = HessenbergFunction(3, (2, 3))
         g = incomparability_graph(m)
         x = chromatic_qsym(g, stat)
         assert qsym_expansion(x, 3) == coloring_expansion(g, 3, stat)

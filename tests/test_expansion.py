@@ -8,7 +8,7 @@ import pytest
 
 from hesschrom.base import Composition, DegreeMismatchError, FrozenInstanceError, Partition, TPoly
 from hesschrom.character import omega_x_of, x_of
-from hesschrom.hessenberg import new_hessenberg
+from hesschrom.hessenberg import HessenbergFunction
 from hesschrom.qsym import QSymElement
 from hesschrom.sym import generator
 
@@ -31,7 +31,7 @@ def test_unknown_basis_and_wrong_degree_raise():
 
 @pytest.mark.parametrize("cached", [x_of, omega_x_of])
 def test_cached_elements_cannot_be_mutated(cached):
-    m = new_hessenberg(3, (2, 3))
+    m = HessenbergFunction(3, (2, 3))
     x = cached(m)
     before = dict(x.terms)
     with pytest.raises(TypeError):
@@ -48,8 +48,8 @@ def test_cached_elements_cannot_be_mutated(cached):
 
 
 @pytest.mark.parametrize("cached, arg", [
-    (x_of, new_hessenberg(3, (2, 3))),
-    (omega_x_of, new_hessenberg(3, (2, 3))),
+    (x_of, HessenbergFunction(3, (2, 3))),
+    (omega_x_of, HessenbergFunction(3, (2, 3))),
     (lambda lam: generator("e", lam), Partition((2, 1))),
 ])
 def test_cached_coefficients_cannot_be_mutated(cached, arg):
@@ -71,7 +71,7 @@ def test_cached_coefficients_cannot_be_mutated(cached, arg):
 
 @pytest.mark.parametrize("cached", [x_of, omega_x_of])
 def test_cached_elements_copy_and_pickle(cached):
-    x = cached(new_hessenberg(4, (2, 4, 4)))
+    x = cached(HessenbergFunction(4, (2, 4, 4)))
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is QSymElement
         assert y == x and hash(y) == hash(x) and repr(y) == repr(x)

@@ -13,7 +13,7 @@ import pytest
 
 from hesschrom.base import partitions
 from hesschrom.cli import run
-from hesschrom.hessenberg import complement, digraph, new_hessenberg, weight
+from hesschrom.hessenberg import HessenbergFunction, complement, digraph, weight
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_n5.json"
 
@@ -29,7 +29,7 @@ def _edges(d):
 def golden_argvs():
     out = []
     for m in FAMILIES:
-        hm = new_hessenberg(5, m)
+        hm = HessenbergFunction(5, m)
         m_text = ",".join(map(str, m))
         for command in ("xg", "omega-xg"):
             for basis in BASES:

@@ -11,7 +11,6 @@ from hesschrom.hessenberg import (
     digraph,
     enumerate_hessenberg,
     incomparability_graph,
-    new_hessenberg,
     poset_relation,
     staircase,
     weight,
@@ -32,12 +31,12 @@ def brute_count(n):
 
 class TestValidation:
     def test_valid(self):
-        assert new_hessenberg(3, (2, 3)).m == (2, 3)
-        assert new_hessenberg(3, (1, 2)).m == (1, 2)  # the staircase
+        assert HessenbergFunction(3, (2, 3)).m == (2, 3)
+        assert HessenbergFunction(3, (1, 2)).m == (1, 2)  # the staircase
 
     def test_not_increasing(self):
         with pytest.raises(HessenbergValidationError) as err:
-            new_hessenberg(3, (3, 2))
+            HessenbergFunction(3, (3, 2))
         assert err.value.index == 2
 
     @pytest.mark.parametrize(
@@ -49,28 +48,34 @@ class TestValidation:
     )
     def test_non_integer_rejected_with_its_index(self, n, m, index):
         with pytest.raises(HessenbergValidationError) as err:
-            new_hessenberg(n, m)
+            HessenbergFunction(n, m)
         assert err.value.index == index
 
     def test_below_diagonal(self):
         with pytest.raises(HessenbergValidationError):
-            new_hessenberg(3, (2, 1))
+            HessenbergFunction(3, (2, 1))
 
     def test_above_n(self):
         with pytest.raises(HessenbergValidationError):
-            new_hessenberg(3, (2, 4))
+            HessenbergFunction(3, (2, 4))
 
     def test_m_at_convention(self):
-        m = new_hessenberg(3, (2, 3))
+        m = HessenbergFunction(3, (2, 3))
         assert m.m_at(1) == 2 and m.m_at(3) == 3
+
+    @pytest.mark.parametrize("i", [-1, 0, 4])
+    def test_m_at_is_defined_only_on_1_to_n(self, i):
+        """m_0 and m_{-1} do not wrap round to the end of m."""
+        with pytest.raises(IndexError):
+            HessenbergFunction(3, (2, 3)).m_at(i)
 
 
 class TestWeight:
     def test_examples(self):
-        assert weight(new_hessenberg(3, (2, 3))) == 2
+        assert weight(HessenbergFunction(3, (2, 3))) == 2
         for n in range(1, 8):
             assert weight(staircase(n)) == 0
-            assert weight(new_hessenberg(n, (n,) * (n - 1))) == n * (n - 1) // 2
+            assert weight(HessenbergFunction(n, (n,) * (n - 1))) == n * (n - 1) // 2
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_weight_equals_edge_count(self, n):
@@ -98,15 +103,15 @@ class TestEnumerate:
 
 class TestDerivedStructures:
     def test_poset_examples(self):
-        assert poset_relation(new_hessenberg(3, (2, 3))) == {(1, 3)}
+        assert poset_relation(HessenbergFunction(3, (2, 3))) == {(1, 3)}
         assert poset_relation(staircase(3)) == {(1, 2), (1, 3), (2, 3)}
-        assert poset_relation(new_hessenberg(3, (3, 3))) == set()
+        assert poset_relation(HessenbergFunction(3, (3, 3))) == set()
 
     def test_graph_examples(self):
-        g = incomparability_graph(new_hessenberg(3, (2, 3)))
+        g = incomparability_graph(HessenbergFunction(3, (2, 3)))
         assert g.edges == frozenset({frozenset({1, 2}), frozenset({2, 3})})
         assert not incomparability_graph(staircase(4)).edges
-        kn = incomparability_graph(new_hessenberg(4, (4, 4, 4)))
+        kn = incomparability_graph(HessenbergFunction(4, (4, 4, 4)))
         assert len(kn.edges) == 6
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -123,7 +128,7 @@ class TestDerivedStructures:
         d = digraph(staircase(2))
         assert d.edges == frozenset({(2, 1)})
         assert complement(d).edges == frozenset({(1, 2)})
-        d2 = digraph(new_hessenberg(2, (2,)))
+        d2 = digraph(HessenbergFunction(2, (2,)))
         assert not d2.edges
         assert complement(d2).edges == frozenset({(1, 2), (2, 1)})
 

@@ -16,12 +16,12 @@ import pytest
 import hesschrom
 from hesschrom import character
 from hesschrom.base import BoundExceededError, Composition, Partition
-from hesschrom.hessenberg import digraph, incomparability_graph, new_hessenberg
+from hesschrom.hessenberg import HessenbergFunction, digraph, incomparability_graph
 
 SRC = Path(hesschrom.__file__).parent.parent
 
 PUBLIC = [
-    "BettiVector", "BoundExceededError", "ClassFunction", "Composition",
+    "BoundExceededError", "ClassFunction", "Composition",
     "DegreeMismatchError", "Digraph", "Graph", "HessenbergFunction",
     "HessenbergValidationError", "IntegralityError",
     "InvalidCoverError", "NotSymmetricError", "OrderedPathCover", "Partition",
@@ -35,7 +35,7 @@ PUBLIC = [
     "expand_in_basis", "f_to_m", "fixed_space_dims", "frobenius_image",
     "generator", "incomparability_graph", "irreducible_multiplicities",
     "is_palindromic", "is_symmetric", "kostka", "kostka_bruteforce", "m_to_f",
-    "new_hessenberg", "omega", "omega_x_of", "ordered_path_covers", "partitions",
+    "omega", "omega_x_of", "ordered_path_covers", "partitions",
     "path_qsym", "path_qsym_bruteforce", "poset_relation", "quasi_shuffle",
     "reading_inversions", "schur_positivity_report", "stable_ordered_partitions",
     "staircase", "sw_inversions_of_cover", "sw_to_t_bijection", "t_inversions",
@@ -72,7 +72,7 @@ def test_star_import_binds_every_public_name():
 
 def test_errors_of_public_functions_are_caught_by_their_public_names(monkeypatch):
     try:
-        hesschrom.new_hessenberg(3, (2, 1))
+        hesschrom.HessenbergFunction(3, (2, 1))
     except hesschrom.HessenbergValidationError as err:
         assert err.index == 2
     else:
@@ -81,7 +81,7 @@ def test_errors_of_public_functions_are_caught_by_their_public_names(monkeypatch
         character, "_solve_in_basis", lambda n, basis, rhs: [Fraction(1, 7)] * len(rhs)
     )
     try:
-        hesschrom.dot_character(new_hessenberg(3, (2, 3)), 1)
+        hesschrom.dot_character(HessenbergFunction(3, (2, 3)), 1)
     except hesschrom.IntegralityError as err:
         assert str(err).startswith("chi([3]): non-integral value ")
     else:
@@ -166,7 +166,7 @@ def test_patched_functions_are_what_the_package_and_cli_call(module, name, argv)
 
 
 # Every exponential entry point, with arguments whose size n is 3.
-M3 = new_hessenberg(3, (2, 3))
+M3 = HessenbergFunction(3, (2, 3))
 LAM3 = Partition((2, 1))
 GUARDED = [
     ("admissible_tableaux", (M3, LAM3)),

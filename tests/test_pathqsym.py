@@ -4,11 +4,11 @@ from hesschrom.base import Composition, TPoly, compositions, partitions, rearran
 from hesschrom.chromatic import chromatic_qsym
 from hesschrom.hessenberg import (
     Digraph,
+    HessenbergFunction,
     complement,
     digraph,
     enumerate_hessenberg,
     incomparability_graph,
-    new_hessenberg,
     staircase,
 )
 from hesschrom.pathcovers import (
@@ -82,7 +82,7 @@ class TestPathQsym:
         assert path_qsym(dg({1, 2}, [(1, 2), (2, 1)])) == expected
 
     def test_agrees_with_chromatic_on_poset_instance(self):
-        m = new_hessenberg(3, (2, 3))
+        m = HessenbergFunction(3, (2, 3))
         assert path_qsym(digraph(m)) == chromatic_qsym(incomparability_graph(m))
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -126,7 +126,7 @@ class TestReciprocity:
 
 class TestCViaPathCovers:
     def test_n2_examples(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         assert c_via_path_covers(m, Composition((2,))) == {0: 1, 1: 1}
         assert c_via_path_covers(m, Composition((1, 1))) == {0: 1, 1: 1}
 
@@ -179,6 +179,6 @@ class TestCViaPathCovers:
                 )
 
     def test_bad_composition(self):
-        m = new_hessenberg(2, (2,))
+        m = HessenbergFunction(2, (2,))
         with pytest.raises(ValueError):
             c_via_path_covers(m, Composition((3,)))

@@ -401,6 +401,23 @@ class TestConstruction:
         assert q.terms == {0: 1}
 
     @pytest.mark.parametrize(
+        "basis, key",
+        [
+            ("m", Composition((1,))),
+            ("s", Composition((1, 1))),
+            ("M", Partition((2, 1))),
+            ("F", Partition((1,))),
+        ],
+        ids=["m", "s", "M", "F"],
+    )
+    def test_a_key_of_the_other_kind_is_a_type_error(self, basis, key):
+        """Partitions key m, e, h, p and s; compositions key M and F.  A
+        key of the other kind would be misread later: ``expand_in_basis``
+        would drop it, and ``to_m_basis`` would fail on it."""
+        with pytest.raises(TypeError, match="keys"):
+            QSymElement(key.n, basis, {key: 1})
+
+    @pytest.mark.parametrize(
         "other", [1, Fraction(1, 2), TPoly.const(1), "x"], ids=["int", "fraction", "tpoly", "str"]
     )
     def test_adding_or_subtracting_a_non_element_is_a_type_error(self, other):

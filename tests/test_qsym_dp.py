@@ -18,11 +18,11 @@ from hesschrom.chromatic import chromatic_qsym, chromatic_qsym_bruteforce
 from hesschrom.hessenberg import (
     Digraph,
     Graph,
+    HessenbergFunction,
     complement,
     digraph,
     enumerate_hessenberg,
     incomparability_graph,
-    new_hessenberg,
 )
 from hesschrom.pathcovers import path_qsym_bruteforce, sequencing_stat
 from hesschrom.pathqsym import path_qsym
@@ -37,7 +37,7 @@ def hessenberg_functions(draw, n):
     for i in range(1, n):
         lo = draw(st.integers(max(i, lo), n))
         m.append(lo)
-    return new_hessenberg(n, m)
+    return HessenbergFunction(n, m)
 
 
 # Labels from a sparse range, so that they are rarely 1..n, and edges at
@@ -145,7 +145,7 @@ def test_xi_of_d_equals_x_of_g(n):
 
 
 def test_size_guard():
-    m = new_hessenberg(9, (9,) * 8)
+    m = HessenbergFunction(9, (9,) * 8)
     g, d = incomparability_graph(m), digraph(m)
     with pytest.raises(BoundExceededError):
         chromatic_qsym(g)
@@ -156,7 +156,7 @@ def test_size_guard():
 
 
 def test_bad_stat():
-    m = new_hessenberg(3, (2, 3))
+    m = HessenbergFunction(3, (2, 3))
     with pytest.raises(ValueError, match="stat"):
         chromatic_qsym(incomparability_graph(m), "inv")
     with pytest.raises(ValueError, match="stat"):
@@ -179,4 +179,4 @@ STAT_TAKERS = {
 @pytest.mark.parametrize("name", sorted(STAT_TAKERS))
 def test_every_stat_taker_rejects_an_unknown_stat(name):
     with pytest.raises(ValueError, match="^stat must be 'asc' or 'des': 'x'$"):
-        STAT_TAKERS[name](new_hessenberg(3, (2, 3)))
+        STAT_TAKERS[name](HessenbergFunction(3, (2, 3)))

@@ -17,7 +17,7 @@ import pytest
 
 import hesschrom
 from hesschrom.base import Composition, Partition, Permutation, Report, TPoly, _Frozen
-from hesschrom.betti import BettiVector, Tableau
+from hesschrom.betti import Tableau
 from hesschrom.character import ClassFunction
 from hesschrom.hessenberg import Digraph, Graph, HessenbergFunction
 from hesschrom.pathcovers import OrderedPathCover
@@ -62,11 +62,6 @@ FROZEN = {
         lambda: Tableau(Partition((2, 1)), ((2, 1), (3,))),
         "Tableau(shape=Partition(parts=(2, 1)), rows=((1, 2), (3,)))",
     ),
-    "BettiVector": (
-        lambda: BettiVector(((0, 1), (2, 1)), 1),
-        lambda: BettiVector(((0, 1), (2, 1)), 2),
-        "BettiVector(values=((0, 1), (2, 1)), weight=1)",
-    ),
     "ClassFunction": (
         lambda: ClassFunction(2, ((Partition((2,)), 0), (Partition((1, 1)), 2))),
         lambda: ClassFunction(2, ((Partition((2,)), 2), (Partition((1, 1)), 2))),
@@ -100,7 +95,6 @@ SAME_FIELDS = [
     (Composition((2, 1)), Partition((2, 1))),
     (Graph(V, frozenset()), Digraph(V, frozenset())),
     (HessenbergFunction(2, (2,)), ClassFunction(2, (2,))),
-    (BettiVector((1, 2), 3), ClassFunction((1, 2), 3)),
 ]
 
 

@@ -15,12 +15,11 @@ import pytest
 
 from hesschrom import character, pathcovers, verify
 from hesschrom.base import BoundExceededError, Composition, Partition, TPoly
-from hesschrom.betti import BettiVector
 from hesschrom.character import ClassFunction
-from hesschrom.hessenberg import incomparability_graph, new_hessenberg, staircase
+from hesschrom.hessenberg import HessenbergFunction, incomparability_graph, staircase
 from hesschrom.qsym import QSymElement, f_to_m
 
-TARGET = new_hessenberg(3, (2, 3))
+TARGET = HessenbergFunction(3, (2, 3))
 
 
 def _assert_one_input_fails(clean, report, prefix):
@@ -165,8 +164,8 @@ def test_bijection_record(monkeypatch):
     )
 
 
-def _with_vector(vectors, lam, values):
-    return {**vectors, lam: BettiVector(values, vectors[lam].weight)}
+def _with_vector(vectors, lam, terms):
+    return {**vectors, lam: TPoly(terms)}
 
 
 @pytest.mark.parametrize(
@@ -174,8 +173,8 @@ def _with_vector(vectors, lam, values):
     [
         (
             "betti_vectors",
-            lambda bvs: _with_vector(bvs, Partition((2, 1)), ((0, 1), (2, 3))),
-            ("m=(2,3), lambda=[2,1]", "palindromic", "t^-2 + 3"),
+            lambda bvs: _with_vector(bvs, Partition((2, 1)), {0: 1, 1: 3}),
+            ("m=(2,3), lambda=[2,1]", "palindromic", "1 + 3*t"),
         ),
         (
             "x_of",
@@ -248,7 +247,7 @@ def _column_betti(bv, lam):
     """The (1^n) Betti vector of TARGET with beta_2 raised from 4 to 5."""
     if lam != Partition((1, 1, 1)):
         return bv
-    return BettiVector(((0, 1), (2, 5), (4, 1)), bv.weight)
+    return TPoly({0: 1, 1: 5, 2: 1})
 
 
 @pytest.mark.parametrize(
@@ -275,8 +274,8 @@ def test_character_records(monkeypatch, name, change, expected):
         (TARGET, _column_betti, ("m=(2,3)", "6", "7")),
         (
             staircase(3),
-            lambda bv, lam: BettiVector(((2, 6),), bv.weight),
-            ("staircase m=(1,2)", "{0: 6}", "{2: 6}"),
+            lambda bv, lam: TPoly.t(1, 6),
+            ("staircase m=(1,2)", "6", "6*t"),
         ),
     ],
     ids=["total", "staircase"],
@@ -307,7 +306,7 @@ def test_registered_suite_fills_a_timed_report_of_its_name(name):
 def test_per_m_suites_run_past_the_default_guard(monkeypatch, name):
     """A suite's max_n is its size, so a suite over an m with n = 9 must not
     trip the default guard of the per-m calls it makes."""
-    m = new_hessenberg(9, tuple(range(2, 10)))
+    m = HessenbergFunction(9, tuple(range(2, 10)))
     monkeypatch.setattr(verify, "_all_hessenberg", lambda max_n: iter([m]))
     report = verify.SUITES[name](max_n=9)
     assert report.ok
