@@ -11,7 +11,6 @@ from .base import (
     Report,
     TPoly,
     compositions,
-    is_palindromic,
     partitions,
     z_of,
 )
@@ -30,7 +29,6 @@ from .betti import (
 from .character import (
     ClassFunction,
     IntegralityError,
-    c_coeffs,
     dot_character,
     e_positivity_report,
     fixed_space_dims,

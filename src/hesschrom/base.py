@@ -46,6 +46,12 @@ class BoundExceededError(ValueError):
 DEFAULT_MAX_N = 8
 
 
+def _is_number(x, kind=int) -> bool:
+    """isinstance(x, kind) for anything but a bool: a bool is an int to
+    Python, but not a size, a part, a degree, an exponent or a coefficient."""
+    return isinstance(x, kind) and x.__class__ is not bool
+
+
 # help() shows the signature of the guarded function, so the guard's
 # keywords are named in the docstring instead
 _GUARD_DOC = """
@@ -213,10 +219,11 @@ class TPoly(_Frozen):
     1/3, -1/2 and 1/6), or ``frobenius_image`` of a class function that is
     not a character.  ``TPoly(terms)``, ``const`` and ``t`` raise
     ``TypeError`` on any other coefficient (the scalar rule of the
-    arithmetic) and on an exponent that is not an int; ``_of`` trusts its
-    caller.  Zero coefficients are never stored, so equality is term-map
-    equality, and a TPoly equals a scalar, and hashes like it, exactly when
-    it is constant at that scalar (the empty TPoly at 0).
+    arithmetic), on an exponent that is not an int, and on a bool
+    (``_is_number``); ``_of`` trusts its caller.  Zero coefficients are
+    never stored, so equality is term-map equality, and a TPoly equals a
+    scalar, and hashes like it, exactly when it is constant at it (the
+    empty TPoly at 0).
     """
 
     __slots__ = _fields = ("terms",)
@@ -226,9 +233,9 @@ class TPoly(_Frozen):
             terms = terms.items()
         terms = [] if terms is None else list(terms)
         for e, c in terms:
-            if not isinstance(e, int):
+            if not _is_number(e):
                 raise TypeError(f"exponent {e!r} is not an int")
-            if not isinstance(c, (int, Rational)):
+            if not _is_number(c, (int, Rational)):
                 raise TypeError(f"coefficient {c!r} is not an int or a Rational")
         super().__init__(MappingProxyType(_merge({}, terms)))
 
@@ -362,7 +369,7 @@ class _Parts(_Frozen):
 
     def __init__(self, parts: tuple):
         parts = tuple(parts)
-        if any(not isinstance(p, int) or p < 1 for p in parts):
+        if any(not _is_number(p) or p < 1 for p in parts):
             kind = type(self).__name__.lower()
             raise ValueError(f"{kind} parts must be positive integers: {parts}")
         super().__init__(parts)
@@ -551,8 +558,3 @@ def z_of(lam: Partition) -> int:
         c = lam.parts.count(k)
         out *= k**c * factorial(c)
     return out
-
-
-def is_palindromic(q: TPoly, center: int = 0) -> bool:
-    """True iff q * t^(-center) is fixed under t -> 1/t."""
-    return all(q.coeff(2 * center - e) == c for e, c in q.terms.items())

@@ -7,10 +7,11 @@ omega X_{G(m)}(t) is the Frobenius image), not from a geometric model;
 its consistency is pinned by the two independent combinatorial routes
 (qsym pipeline vs tableau pipeline) that the verifiers compare.
 
-The readouts at degree d work on one vector: the t^d coefficients of
-``omega_x_of(m)`` in ``partitions(n)`` order. ``fixed_space_dims`` is
-that vector, and ``dot_character`` and ``irreducible_multiplicities``
-solve it against the p and s matrices with no element built in between.
+The readouts at degree d work on one vector, c_{d,lambda}: the t^d
+coefficients of ``omega_x_of(m)`` in ``partitions(n)`` order, which
+``fixed_space_dims`` alone reads.  ``dot_character`` and
+``irreducible_multiplicities`` solve its values against the p and s
+matrices, one solve each, with no element built in between.
 ``frobenius_image`` goes back through the p matrix in ints and divides
 by n! once at the end.
 """
@@ -26,6 +27,7 @@ from .base import (
     Permutation,
     Report,
     _Frozen,
+    _is_number,
     guarded,
     partitions,
     z_of,
@@ -89,33 +91,28 @@ def omega_x_of(m: HessenbergFunction) -> QSymElement:
 
 
 @guarded
-def c_coeffs(m: HessenbergFunction):
-    """(d, lambda) -> coefficient of t^d m_lambda in omega X_{G(m)}(t)."""
-    wx = omega_x_of(m, force=True)
-    out = {}
-    for lam, poly in wx.terms.items():
-        for d, c in poly.terms.items():
-            out[(d, lam)] = c
-    return out
-
-
-def _degree_slice(m: HessenbergFunction, d: int) -> list:
-    """The m-coefficients of the t^d slice of omega X_{G(m)}(t), in
-    ``partitions(m.n)`` order, after a check that d is a degree of
-    H^*(Hess(m))."""
+def fixed_space_dims(m: HessenbergFunction, d: int) -> dict:
+    """lambda -> c_{d,lambda}(m), the S_lambda-fixed subspace dimensions:
+    the t^d coefficients of omega X_{G(m)}(t) on the m basis, in
+    ``partitions(m.n)`` order, zeros included.  The one reader of the t^d
+    slice; it raises ``TypeError`` unless d is an int (a bool is not) and
+    ``ValueError`` unless d is a degree 0..weight(m) of H^*(Hess(m))."""
+    if not _is_number(d):
+        raise TypeError(f"d={d!r} is not an int")
     if not 0 <= d <= weight(m):
         raise ValueError(f"d={d} outside 0..{weight(m)}")
     wx = omega_x_of(m, force=True)
-    return [wx.coeff(lam).coeff(d) for lam in partitions(m.n)]
+    return {lam: wx.coeff(lam).coeff(d) for lam in partitions(m.n)}
 
 
 @guarded
 def dot_character(m: HessenbergFunction, d: int) -> ClassFunction:
     """Character values on cycle types: chi(mu) = z_mu * [p_mu] f, where
     f is the t^d slice of omega X_{G(m)}(t)."""
-    in_p = _solve_in_basis(m.n, "p", _degree_slice(m, d))
+    dims = fixed_space_dims(m, d, force=True)
+    in_p = _solve_in_basis(m.n, "p", list(dims.values()))
     values = tuple(
-        (mu, _as_int(z_of(mu) * c, "chi({})", mu)) for mu, c in zip(partitions(m.n), in_p)
+        (mu, _as_int(z_of(mu) * c, "chi({})", mu)) for mu, c in zip(dims, in_p)
     )
     return ClassFunction(m.n, values)
 
@@ -147,16 +144,11 @@ def frobenius_image(chi: ClassFunction) -> QSymElement:
 
 
 @guarded
-def fixed_space_dims(m: HessenbergFunction, d: int):
-    """lambda -> c_{d,lambda}(m), the S_lambda-fixed subspace dimensions."""
-    return dict(zip(partitions(m.n), _degree_slice(m, d)))
-
-
-@guarded
 def irreducible_multiplicities(m: HessenbergFunction, d: int):
     """lambda -> coefficient of s_lambda in the t^d slice of omega X."""
-    in_s = _solve_in_basis(m.n, "s", _degree_slice(m, d))
-    return {lam: _as_int(c, "mult({})", lam) for lam, c in zip(partitions(m.n), in_s)}
+    dims = fixed_space_dims(m, d, force=True)
+    in_s = _solve_in_basis(m.n, "s", list(dims.values()))
+    return {lam: _as_int(c, "mult({})", lam) for lam, c in zip(dims, in_s)}
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from .base import _Frozen, guarded
+from .base import _Frozen, _is_number, guarded
 
 
 class HessenbergValidationError(ValueError):
@@ -72,15 +72,14 @@ class HessenbergFunction(_Frozen):
 
     def __init__(self, n: int, m: tuple):
         m = tuple(m)
-        # a bool is an int to Python, but not a size or an index
-        if type(n) is bool or not isinstance(n, int):
+        if not _is_number(n):
             raise HessenbergValidationError(0, f"n={n!r} is not an integer")
         if n < 1 or len(m) != n - 1:
             raise HessenbergValidationError(
                 0, f"need exactly n-1={n - 1} values, got {len(m)}"
             )
         for i, v in enumerate(m, start=1):
-            if type(v) is bool or not isinstance(v, int):
+            if not _is_number(v):
                 raise HessenbergValidationError(i, f"m_{i}={v!r} is not an integer")
             if v < i:
                 raise HessenbergValidationError(i, f"m_{i}={v} violates m_i >= i")

@@ -1,9 +1,9 @@
 """Ordered path covers of a digraph, enumerated explicitly, and what is
 built on them: ``path_qsym_bruteforce``, the oracle of the subset DP
 ``pathqsym.path_qsym``; the reciprocity identity omega Xi_D =
-Xi_{D-complement} as an executable check; and path-cover counts for
-the coefficients c_{d,lambda} (the [M_alpha] coefficient of Xi of the
-complement of D(m), which ``_complement_of`` builds once per m).
+Xi_{D-complement} as an executable check; and the coefficients
+c_{d,lambda} counted on path covers: the TPoly [M_alpha] Xi of the
+complement of D(m), which ``_complement_of`` builds once per m.
 
 ``path_qsym_bruteforce`` sums the statistic over ``ordered_path_covers``
 and builds its compositions without ``qsym._unpack``, so the differential
@@ -140,13 +140,13 @@ def verify_reciprocity(d: Digraph) -> Report:
 
 @guarded
 def c_via_path_covers(m: HessenbergFunction, alpha: Composition, stat: str = "asc"):
-    """d -> number of ordered path covers (q, alpha) of the complement of
-    D(m) with the chosen statistic equal to d: the [M_alpha] coefficient
-    of ``path_qsym`` on that complement."""
+    """The TPoly [M_alpha] ``path_qsym`` of the complement of D(m), whose t^d
+    counts its ordered path covers (q, alpha) with statistic d.  For alpha a
+    rearrangement of lambda it is c_{d,lambda}, the same TPoly as
+    ``omega_x_of(m).coeff(lambda)`` and ``betti_vector(m, lambda)``."""
     if alpha.n != m.n:
         raise ValueError(f"{alpha} is not a composition of {m.n}")
-    xi = path_qsym(_complement_of(m), stat, force=True)
-    return dict(xi.coeff(alpha).terms)
+    return path_qsym(_complement_of(m), stat, force=True).coeff(alpha)
 
 
 @lru_cache(maxsize=8)

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
+from numbers import Rational
 from types import MappingProxyType
 
-from .base import Composition, DegreeMismatchError, Partition, TPoly, _Frozen, _merge
-from .base import rearrangements
+from .base import Composition, DegreeMismatchError, Partition, TPoly, _Frozen, _is_number
+from .base import _merge, rearrangements
 
 
 class NotSymmetricError(ValueError):
@@ -44,10 +45,9 @@ _ZERO = TPoly()
 
 
 def _coerce_poly(c) -> TPoly:
-    poly = TPoly._coerced(c)
-    if poly is None:
-        raise TypeError(f"coefficient {c!r} is not a TPoly, an int or a Rational")
-    return poly
+    if isinstance(c, TPoly) or _is_number(c, (int, Rational)):
+        return TPoly._coerced(c)
+    raise TypeError(f"coefficient {c!r} is not a TPoly, an int or a Rational")
 
 
 # Producers sum many terms into one element. They accumulate plain
@@ -95,8 +95,10 @@ class QSymElement(_Frozen):
     """Immutable finite map from keys of degree n to TPoly, tagged with a
     basis: compositions for the quasisymmetric bases M and F, partitions
     for the symmetric bases m, e, h, p and s (a symmetric function is a
-    quasisymmetric one read in another basis).  A key of the other kind
-    raises ``TypeError``, and one of another degree ``DegreeMismatchError``.
+    quasisymmetric one read in another basis).  A key of the other kind, a
+    degree n that is not an int or a coefficient that is not a TPoly, an int
+    or a Rational (a bool is neither) raises ``TypeError``, and a key of
+    another degree ``DegreeMismatchError``.
 
     Elements are shared through lru caches, so ``terms`` is a read-only
     mapping, as is each coefficient's, and, as for every ``_Frozen``
@@ -111,6 +113,8 @@ class QSymElement(_Frozen):
     __slots__ = _fields = ("n", "basis", "terms")
 
     def __init__(self, n: int, basis: str, terms=None):
+        if not _is_number(n):
+            raise TypeError(f"degree {n!r} is not an int")
         if basis not in QSYM_BASES + SYM_BASES:
             raise ValueError(f"unknown basis: {basis!r}")
         kind = Composition if basis in QSYM_BASES else Partition

@@ -47,7 +47,8 @@ def test_criterion_3_betti_equals_c():
     report = suite_sw(max_n=8)
     # every (lambda, d) with a nonzero side, over the 2,055 functions with n <= 8
     assert report.checked == 429_646
-    _gate(3, "betti_vector = c_coeffs, disjoint pipelines", report, budget_ms=300_000)
+    label = "betti_vector = omega_x_of(m).coeff(lambda), disjoint pipelines"
+    _gate(3, label, report, budget_ms=300_000)
 
 
 def test_criterion_4_bijection():

@@ -13,7 +13,6 @@ from hesschrom.base import (
     Report,
     TPoly,
     compositions,
-    is_palindromic,
     partitions,
     rearrangements,
     z_of,
@@ -139,6 +138,28 @@ class TestTPoly:
         with pytest.raises(TypeError, match="exponent"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TPoly({True: 1}),
+            lambda: TPoly([(0, 1), (1, True)]),
+            lambda: TPoly.const(False),
+            lambda: TPoly.t(True),
+            lambda: TPoly.t(2, True),
+        ],
+        ids=["exponent", "coefficient", "const", "t-exponent", "t-coefficient"],
+    )
+    def test_no_constructor_takes_a_bool(self, build):
+        """A bool is an int to Python, but neither an exponent nor a
+        coefficient: t^True and False*t cannot be built."""
+        with pytest.raises(TypeError, match="not an int"):
+            build()
+
+    def test_arithmetic_with_a_bool_is_the_arithmetic_with_its_int(self):
+        x = TPoly.t()
+        assert x + True == x + 1 and x * True == x and x * False == 0
+        assert TPoly.const(1) == True  # noqa: E712
+
     def test_a_constant_and_its_scalar_are_one_set_member(self):
         assert len({TPoly.const(2), 2}) == 1
         assert len({TPoly(), 0, Fraction(0)}) == 1
@@ -196,6 +217,11 @@ class TestComposition:
             Composition((2,)).bar_union(Composition((3,)))
         with pytest.raises(DegreeMismatchError):
             Composition((2,)).refines(Composition((3,)))
+
+    @pytest.mark.parametrize("cls", [Composition, Partition])
+    def test_a_bool_is_not_a_part(self, cls):
+        with pytest.raises(ValueError, match="positive integers"):
+            cls((True, 1))
 
     def test_num_bars(self):
         assert Composition((1, 2, 1)).num_bars == 2
@@ -276,13 +302,6 @@ class TestZOf:
             math.factorial(n) // z_of(lam) for lam in partitions(n)
         )
         assert total == math.factorial(n)
-
-
-class TestPalindromic:
-    def test_examples(self):
-        assert is_palindromic(TPoly({-1: 1, 1: 1}), 0)
-        assert is_palindromic(TPoly({0: 1, 1: 2, 2: 1}), 1)
-        assert not is_palindromic(TPoly({0: 1, 2: 1}), 0)
 
 
 class TestReport:

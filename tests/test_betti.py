@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from hesschrom import character
-from hesschrom.base import BoundExceededError, Composition, Partition, TPoly, partitions
+from hesschrom.base import Composition, Partition, TPoly, partitions
 from hesschrom.betti import (
     Tableau,
     admissible_tableaux,
@@ -15,14 +14,13 @@ from hesschrom.betti import (
     t_inversions,
     unified_dimension,
 )
-from hesschrom.character import c_coeffs, omega_x_of
+from hesschrom.character import omega_x_of
 from hesschrom.hessenberg import (
     HessenbergFunction,
     complement,
     digraph,
     enumerate_hessenberg,
     staircase,
-    weight,
 )
 from hesschrom.pathcovers import (
     OrderedPathCover,
@@ -138,39 +136,27 @@ class TestBettiVector:
 
 
 class TestCCoeffs:
+    """c_{d,lambda}, the t^d coefficient of [m_lambda] omega X_{G(m)}(t)."""
+
     def test_n2(self):
-        cc = c_coeffs(HessenbergFunction(2, (2,)))
+        wx = omega_x_of(HessenbergFunction(2, (2,)))
         two, pair = Partition((2,)), Partition((1, 1))
-        assert cc == {(0, two): 1, (1, two): 1, (0, pair): 1, (1, pair): 1}
-
-    def test_size_guard(self, monkeypatch):
-        """The guard is checked before ``omega_x_of`` is read."""
-        m = HessenbergFunction(9, tuple(range(2, 10)))
-
-        def unreachable(m):
-            raise AssertionError("omega_x_of read before the size guard")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(character, "omega_x_of", unreachable)
-            with pytest.raises(BoundExceededError):
-                c_coeffs(m)
-        cc = c_coeffs(m, force=True)
-        assert sum(cc.values()) > 0
-        assert cc == c_coeffs(m, max_n=9)
+        assert wx.terms == {two: TPoly({0: 1, 1: 1}), pair: TPoly({0: 1, 1: 1})}
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_staircase_concentrated_at_zero(self, n):
-        cc = c_coeffs(staircase(n))
-        assert all(d == 0 for d, _ in cc)
+        wx = omega_x_of(staircase(n))
+        assert all(poly.exponents() == [0] for poly in wx.terms.values())
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_agrees_with_path_cover_counts(self, n):
+        """The three routes to c_{d,lambda} return one TPoly: path covers of
+        the complement of D(m), omega X_{G(m)} and the tableau Betti numbers."""
         for m in enumerate_hessenberg(n):
-            cc = c_coeffs(m)
+            wx = omega_x_of(m)
             for lam in partitions(n):
-                counts = c_via_path_covers(m, lam.reversed_composition())
-                for d in range(weight(m) + 1):
-                    assert counts.get(d, 0) == cc.get((d, lam), 0)
+                via_covers = c_via_path_covers(m, lam.reversed_composition())
+                assert via_covers == wx.coeff(lam) == betti_vector(m, lam), (m, lam)
 
 
 class TestSwBijection:

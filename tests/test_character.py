@@ -64,6 +64,17 @@ class TestDotCharacter:
                 with pytest.raises(ValueError):
                     fn(m, d)
 
+    @pytest.mark.parametrize(
+        "d", [0.5, 1.5, Fraction(1), True, False], ids=["0.5", "1.5", "fraction", "True", "False"]
+    )
+    def test_d_that_is_not_an_int_is_a_type_error(self, d):
+        """A degree that is not an int, a bool included, is refused: it would
+        read zeros, or the slice at the int the bool stands for."""
+        m = HessenbergFunction(3, (2, 3))
+        for fn in (dot_character, fixed_space_dims, irreducible_multiplicities):
+            with pytest.raises(TypeError, match="not an int"):
+                fn(m, d)
+
     def test_size_guard(self):
         m = HessenbergFunction(4, (2, 3, 4))
         with pytest.raises(BoundExceededError):

@@ -27,14 +27,14 @@ PUBLIC = [
     "InvalidCoverError", "NotSymmetricError", "OrderedPathCover", "Partition",
     "Permutation", "QSymElement", "Report", "TPoly", "Tableau",
     "admissible_tableaux", "betti_vector", "betti_vector_bruteforce",
-    "betti_vectors", "c_coeffs",
+    "betti_vectors",
     "c_via_path_covers", "cell_dimension", "check_palindromic", "chromatic_qsym",
     "chromatic_qsym_bruteforce", "complement", "compositions", "cover_paths",
     "digraph",
     "dot_character", "e_positivity_report", "enumerate_hessenberg",
     "expand_in_basis", "f_to_m", "fixed_space_dims", "frobenius_image",
     "generator", "incomparability_graph", "irreducible_multiplicities",
-    "is_palindromic", "is_symmetric", "kostka", "kostka_bruteforce", "m_to_f",
+    "is_symmetric", "kostka", "kostka_bruteforce", "m_to_f",
     "omega", "omega_x_of", "ordered_path_covers", "partitions",
     "path_qsym", "path_qsym_bruteforce", "poset_relation", "quasi_shuffle",
     "reading_inversions", "schur_positivity_report", "stable_ordered_partitions",
@@ -176,7 +176,6 @@ GUARDED = [
     ("check_palindromic", (M3, LAM3)),
     ("x_of", (M3,)),
     ("omega_x_of", (M3,)),
-    ("c_coeffs", (M3,)),
     ("dot_character", (M3, 1)),
     ("fixed_space_dims", (M3, 1)),
     ("irreducible_multiplicities", (M3, 1)),

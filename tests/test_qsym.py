@@ -418,6 +418,22 @@ class TestConstruction:
             QSymElement(key.n, basis, {key: 1})
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QSymElement(True, "M", {Composition((1,)): 1}),
+            lambda: QSymElement(1.0, "m"),
+            lambda: QSymElement(1, "M", {Composition((1,)): True}),
+            lambda: QSymElement.monomial(Partition((1,)), "m", coeff=False),
+        ],
+        ids=["bool-degree", "float-degree", "bool-coefficient", "monomial"],
+    )
+    def test_a_degree_or_a_coefficient_that_is_a_bool_is_a_type_error(self, build):
+        """The degree is an int and each coefficient a TPoly, an int or a
+        Rational; a bool is an int to Python, but neither of these."""
+        with pytest.raises(TypeError, match="degree|coefficient"):
+            build()
+
+    @pytest.mark.parametrize(
         "other", [1, Fraction(1, 2), TPoly.const(1), "x"], ids=["int", "fraction", "tpoly", "str"]
     )
     def test_adding_or_subtracting_a_non_element_is_a_type_error(self, other):
