@@ -217,3 +217,127 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+# The flags each subcommand accepts, in the order its help lists them.
+FLAGS = {
+    "xg": ["--json", "--max-n", "--force", "--stat", "--n", "--m", "--basis"],
+    "omega-xg": ["--json", "--max-n", "--force", "--stat", "--n", "--m", "--basis"],
+    "xi": ["--json", "--max-n", "--force", "--stat", "--edges", "--vertices"],
+    "betti": ["--json", "--max-n", "--force", "--n", "--m", "--lambda"],
+    "character": ["--json", "--max-n", "--force", "--n", "--m", "--d"],
+    "enumerate": ["--json", "--max-n", "--force", "--n"],
+    "verify": ["--json", "--suite", "--max-n", "--seed"],
+}
+# A small valid request of each subcommand.
+VALID = {
+    "xg": ["xg", "--m", "2,3"],
+    "omega-xg": ["omega-xg", "--m", "2,3"],
+    "xi": ["xi", "--edges", "1>2"],
+    "betti": ["betti", "--m", "2,3", "--lambda", "2,1"],
+    "character": ["character", "--m", "2,3", "--d", "1"],
+    "enumerate": ["enumerate", "--n", "3"],
+    "verify": ["verify", "--suite", "sw", "--max-n", "2"],
+}
+
+
+def names(flag, text):
+    """Whether text names flag as a whole word (so --m is not --max-n)."""
+    return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text) is not None
+
+
+class TestParsing:
+    """How argv is read: help, spellings of a flag, and usage errors, each
+    of which exits 2 after the usage line and a message naming the flag."""
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_names_every_flag(self, capsys, command):
+        for switch in ("--help", "-h"):
+            code, out, err = capture(capsys, VALID[command] + [switch])
+            assert code == 0 and err == ""
+            assert out.startswith(f"usage: hesschrom {command} ")
+            for flag in FLAGS[command] + ["-h", "--help"]:
+                assert names(flag, out), (command, flag)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]])
+    def test_top_level_help_names_every_command(self, capsys, argv):
+        code, out, err = capture(capsys, argv)
+        assert code == 0 and err == "" and out.startswith("usage: hesschrom ")
+        for command in FLAGS:
+            assert names(command, out), command
+
+    def test_help_wins_over_a_missing_required_flag(self, capsys):
+        code, out, _ = capture(capsys, ["betti", "--help"])
+        assert code == 0 and names("--lambda", out)
+
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (["xg", "--m", "2,3", "--basis=e"], ["xg", "--m", "2,3", "--basis", "e"]),
+            (["betti", "--m", "2,3", "--lam", "2,1"], VALID["betti"]),
+            (["betti", "--m=2,3", "--lambda=2,1"], VALID["betti"]),
+            (["enumerate", "--n", "3", "--js"], ["enumerate", "--n", "3", "--json"]),
+            (["enumerate", "--ma", "4", "--n", "4"], ["enumerate", "--n", "4"]),
+            (["xg", "--m", "2", "--m", "2,3"], VALID["xg"]),
+            (["xg", "--basis", "e", "--m", "2,3", "--basis", "M"], ["xg", "--m", "2,3", "--basis", "M"]),
+            (["character", "--m", "2,3", "--d", "0", "--d", "1"], VALID["character"]),
+            (["xg", "--json", "--m", "2,3", "--json"], ["xg", "--m", "2,3", "--json"]),
+        ],
+        ids=["equals", "prefix", "equals-prefix", "switch-prefix", "prefix-of-longer",
+             "last-wins", "last-choice-wins", "last-int-wins", "switch-twice"],
+    )
+    def test_accepted_spellings(self, capsys, argv, same_as):
+        code, out, err = capture(capsys, argv)
+        assert code == 0 and err == ""
+        assert (code, out) == capture(capsys, same_as)[:2]
+
+    def test_negative_int_reaches_validation(self, capsys):
+        code, out, err = capture(capsys, ["character", "--m", "2,3", "--d", "-1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "d=-1" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag, detail",
+        [
+            (["betti", "--m", "2,3"], "--lambda", "required"),
+            (["character", "--d", "1"], "--m", "required"),
+            (["enumerate"], "--n", "required"),
+            (["verify"], "--suite", "required"),
+            (["enumerate", "--n", "x"], "--n", "'x'"),
+            (["xg", "--m", "2,3", "--max-n", "1.5"], "--max-n", "'1.5'"),
+            (["xg", "--m", "2,3", "--basis", "Q"], "--basis", "'Q'"),
+            (["xi", "--edges", "1>2", "--stat", "up"], "--stat", "'up'"),
+            (["betti", "--m", "2,3", "--lambda"], "--lambda", "expected one argument"),
+            (["xg", "--m", "--json"], "--m", "expected one argument"),
+            (["xg", "--m", "2,3", "--bogus"], "--bogus", "unrecognized"),
+            (["enumerate", "--n", "3", "--json=1"], "--json", "'1'"),
+            (["verify", "--s", "sw"], "--s", "ambiguous"),
+            (["betti", *VALID["betti"][1:], "extra"], "extra", "unrecognized"),
+        ],
+        ids=["missing-lambda", "missing-m", "missing-n", "missing-suite", "bad-int",
+             "bad-float-int", "bad-choice", "bad-stat", "no-value-at-end",
+             "no-value-before-flag", "unknown-flag", "switch-with-value",
+             "ambiguous-prefix", "stray-positional"],
+    )
+    def test_usage_error_names_the_flag(self, capsys, argv, flag, detail):
+        code, out, err = capture(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: hesschrom ")
+        message = err.split("error: ", 1)[1]
+        assert names(flag, message) and detail in message, err
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags_of_other_subcommands_are_rejected(self, capsys, command):
+        own = FLAGS[command]
+        for flag in sorted({f for fs in FLAGS.values() for f in fs} - set(own)):
+            if any(f.startswith(flag) for f in own):
+                continue  # a prefix of an own flag stands for it
+            code, out, err = capture(capsys, VALID[command] + [flag, "1"])
+            assert code == 2 and out == "", (command, flag)
+            assert names(flag, err.split("error: ", 1)[1]), (command, flag, err)
+
+    @pytest.mark.parametrize("argv", [[], ["--json"], ["frobnicate"], ["XG"]])
+    def test_missing_or_unknown_command(self, capsys, argv):
+        code, out, err = capture(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: hesschrom ") and "error: " in err
