@@ -528,7 +528,7 @@ class Permutation(_Frozen):
     def __init__(self, images: tuple):
         images = tuple(images)
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        if not all(map(_is_number, images)) or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
         super().__init__(images)
 

@@ -151,26 +151,6 @@ def irreducible_multiplicities(m: HessenbergFunction, d: int):
     return {lam: _as_int(c, "mult({})", lam) for lam, c in zip(dims, in_s)}
 
 
-@lru_cache(maxsize=None)
-def count_standard_tableaux(lam: Partition) -> int:
-    """Standard Young tableaux of shape lam, by direct enumeration (kept
-    free of the hook length formula so it can serve as an oracle)."""
-
-    def rec(filled_rows):
-        total_filled = sum(filled_rows)
-        if total_filled == lam.n:
-            return 1
-        total = 0
-        for r, width in enumerate(lam.parts):
-            if filled_rows[r] < width and (r == 0 or filled_rows[r] < filled_rows[r - 1]):
-                filled_rows[r] += 1
-                total += rec(filled_rows)
-                filled_rows[r] -= 1
-        return total
-
-    return rec([0] * lam.length)
-
-
 def _negativity_report(suite: str, m: HessenbergFunction, triples) -> Report:
     """Count each (lambda, d, c) triple; record each c < 0."""
     report = Report(suite)

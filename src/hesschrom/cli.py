@@ -5,18 +5,21 @@ At module level this file imports only ``base`` and ``hessenberg``.  Each
 subcommand imports its own pipeline when it runs, and only ``verify``
 imports them all, so a cold request pays for no module it does not use.
 
-Each ``_cmd_*`` returns (exit code, JSON document, text lines), and ``run``
-prints the document under ``--json`` and the lines otherwise.
+One table, ``_COMMANDS``, gives each subcommand its help, handler and
+flags.  ``_parse`` reads argv by it, and renders help and usage errors from
+it, without argparse.  Each ``_cmd_*`` returns (exit code, JSON document,
+text lines), and ``run`` prints the document under ``--json`` and the lines
+otherwise.
 
-Exit codes: 0 success / suite passed, 1 verification failure, 2 usage or
-validation error.
+Exit codes: 0 success, help or suite passed, 1 verification failure, 2
+usage or validation error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .base import DEFAULT_MAX_N, Partition, TPoly
 from .hessenberg import (
@@ -35,13 +38,8 @@ def poly_json(p: TPoly):
 def expansion_json(x: QSymElement):
     from .qsym import SYM_BASES
     key = "partition" if x.basis in SYM_BASES else "composition"
-    return {
-        "degree": x.n,
-        "basis": x.basis,
-        "terms": [
-            {key: list(k.parts), "poly": poly_json(c)} for k, c in x.sorted_terms()
-        ],
-    }
+    terms = [{key: list(k.parts), "poly": poly_json(c)} for k, c in x.sorted_terms()]
+    return {"degree": x.n, "basis": x.basis, "terms": terms}
 
 
 def _expansion(x: QSymElement):
@@ -137,80 +135,110 @@ def _cmd_verify(args):
     if args.max_n is not None:
         kwargs["max_n"] = args.max_n
     report = fn(**kwargs)
-    lines = [
-        f"{'PASS' if report.ok else 'FAIL'} suite={report.suite} "
-        f"checked={report.checked} failures={len(report.failures)} "
-        f"elapsed_ms={report.elapsed_ms}"
-    ] + [
-        f"  {f['input']}: expected {f['expected']}, got {f['actual']}"
-        for f in report.failures
-    ]
+    lines = [f"{'PASS' if report.ok else 'FAIL'} suite={report.suite} checked={report.checked} "
+             f"failures={len(report.failures)} elapsed_ms={report.elapsed_ms}"]
+    lines += (f"  {f['input']}: expected {f['expected']}, got {f['actual']}"
+              for f in report.failures)
     return (0 if report.ok else 1), report.to_json(), lines
 
 
-def build_parser(suites=()) -> argparse.ArgumentParser:
-    # each subcommand gets only the flags it reads
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--json", action="store_true", help="machine-readable output")
-    guarded = argparse.ArgumentParser(add_help=False, parents=[output])
-    guarded.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="enumeration guard")
-    guarded.add_argument("--force", action="store_true", help="override the guard")
-    with_stat = argparse.ArgumentParser(add_help=False, parents=[guarded])
-    with_stat.add_argument("--stat", choices=("asc", "des"), default="asc")
-    of_m = argparse.ArgumentParser(add_help=False)
-    of_m.add_argument("--n", type=int)
-    of_m.add_argument("--m", required=True, help="comma-separated m_1,...,m_{n-1}")
+# Flags as (name, kind, default, help): the kind is None for a switch, int
+# or str for a value, or a tuple of choices; a default of ... marks a
+# required flag.  Each subcommand takes only the flags it reads.
+_OUTPUT = (("--json", None, False, "machine-readable output"),)
+_GUARDED = _OUTPUT + (("--max-n", int, DEFAULT_MAX_N, "enumeration guard"),
+                      ("--force", None, False, "override the guard"))
+_STAT = _GUARDED + (("--stat", ("asc", "des"), "asc", "statistic"),)
+_OF_M = (("--n", int, None, "number of vertices"),
+         ("--m", str, ..., "comma-separated m_1,...,m_{n-1}"))
+_XG = _STAT + _OF_M + (("--basis", ("m", "M", "e", "h", "p", "s"), "m", "output basis"),)
+_COMMANDS = {  # command: (help, handler, flags)
+    "xg": ("chromatic quasisymmetric function of G(m)", _cmd_xg, _XG),
+    "omega-xg": ("omega X_{G(m)}(t)", _cmd_xg, _XG),
+    "xi": ("path quasisymmetric function of a digraph", _cmd_xi, _STAT + (
+        ("--edges", str, "", "directed edges like 1>2,2>1"),
+        ("--vertices", str, "", "extra isolated vertices, like 1,2,3"))),
+    "betti": ("Betti numbers of a regular Hessenberg variety", _cmd_betti,
+              _GUARDED + _OF_M + (("--lambda", str, ..., "Jordan type, like 2,1"),)),
+    "character": ("dot-action character values", _cmd_character, _GUARDED + _OF_M + (
+        ("--d", int, ..., "cohomological degree d (of H^{2d})"),)),
+    "enumerate": ("list Hessenberg functions", _cmd_enumerate,
+                  _GUARDED + (("--n", int, ..., "number of vertices"),)),
+    "verify": ("run a verification suite", _cmd_verify, _OUTPUT + (
+        ("--suite", (), ..., "suite to run"), ("--max-n", int, None, "suite size"),
+        ("--seed", int, 0, "seed for random suites"))),
+}
+_ABOUT = ("Chromatic/path quasisymmetric functions, Hessenberg Betti numbers and "
+          "dot-action characters, exactly.")
 
-    parser = argparse.ArgumentParser(
-        prog="hesschrom",
-        description="Chromatic/path quasisymmetric functions, Hessenberg Betti "
-        "numbers and dot-action characters, exactly.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (("xg", "chromatic quasisymmetric function of G(m)"),
-                            ("omega-xg", "omega X_{G(m)}(t)")):
-        p = sub.add_parser(name, parents=[with_stat, of_m], help=help_text)
-        p.add_argument("--basis", choices=("m", "M", "e", "h", "p", "s"), default="m")
-        p.set_defaults(fn=_cmd_xg)
+def _flag(token, names):
+    """The flag a token names: itself, or the one long flag it abbreviates."""
+    hits = [n for n in names if n.startswith(token)] if token.startswith("--") and token[2:] else []
+    if token in names or len(hits) == 1:
+        return token if token in names else hits[0]
+    raise ValueError(f"ambiguous option: {token} could match {', '.join(hits)}"
+                     if len(hits) > 1 else f"unrecognized arguments: {token}")
 
-    p = sub.add_parser("xi", parents=[with_stat], help="path quasisymmetric function of a digraph")
-    p.add_argument("--edges", default="", help="directed edges like 1>2,2>1")
-    p.add_argument("--vertices", default="", help="extra isolated vertices, like 1,2,3")
-    p.set_defaults(fn=_cmd_xi)
 
-    p = sub.add_parser("betti", parents=[guarded, of_m], help="Betti numbers of a regular Hessenberg variety")
-    p.add_argument("--lambda", dest="lam", required=True, help="Jordan type, like 2,1")
-    p.set_defaults(fn=_cmd_betti)
-
-    p = sub.add_parser("character", parents=[guarded, of_m], help="dot-action character values")
-    p.add_argument("--d", type=int, required=True, help="cohomological degree d (of H^{2d})")
-    p.set_defaults(fn=_cmd_character)
-
-    p = sub.add_parser("enumerate", parents=[guarded], help="list Hessenberg functions")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("verify", parents=[output], help="run a verification suite")
-    p.add_argument("--suite", choices=sorted(suites), required=True)
-    # suites take their own default sizes when --max-n is not given
-    p.add_argument("--max-n", type=int, default=None, help="suite size")
-    p.add_argument("--seed", type=int, default=0, help="seed for random suites")
-    p.set_defaults(fn=_cmd_verify)
-    return parser
+def _parse(argv):
+    """The namespace the ``_cmd_*`` read, filled from argv by ``_COMMANDS``,
+    or the exit code once help (0) or a usage error (2) is printed."""
+    command, *tokens = argv or [""]
+    prog, usage = "hesschrom", "usage: hesschrom [-h] {%s} ..." % ",".join(_COMMANDS)
+    about, fn, table = _COMMANDS.get(command, (_ABOUT, None, ()))
+    rows = [(c, v[0]) for c, v in _COMMANDS.items()]
+    if fn is _cmd_verify:  # its suites are listed only now: verify imports every pipeline
+        from .verify import SUITES
+        table = [(n, k if k != () else tuple(sorted(SUITES)), d, h) for n, k, d, h in table]
+    kinds = {n: k for n, k, _, _ in table}
+    dest = {n: "lam" if n == "--lambda" else n[2:].replace("-", "_") for n in kinds}
+    if fn:  # each flag as usage and help show it, with a placeholder for its value
+        shown = {n: n if k is None else f"{n} {dest[n].upper()}" if k in (int, str)
+                 else f"{n} {{{','.join(k)}}}" for n, k in kinds.items()}
+        prog, usage = f"hesschrom {command}", " ".join([f"usage: hesschrom {command} [-h]"] + [
+            shown[n] if d is ... else f"[{shown[n]}]" for n, _, d, _ in table])
+        rows = [("-h, --help", "show this help and exit")] + [(shown[n], h) for n, _, _, h in table]
+        args = SimpleNamespace(command=command, fn=fn, **{dest[n]: d for n, _, d, _ in table})
+    tokens = iter(tokens if fn else [command])  # the top level takes only -h
+    try:
+        if not fn and command[:1] != "-":
+            raise ValueError(f"argument command: invalid choice: {command!r}" if command
+                             else "the following arguments are required: command")
+        for token in tokens:
+            token, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+            name = _flag(token, [*kinds, "-h", "--help"])
+            if name in ("-h", "--help"):
+                print(usage, "", about, "", *(f"  {a:<21} {b}" for a, b in rows), sep="\n")
+                return 0
+            kind = kinds[name]
+            if kind is None and eq:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            if kind and not eq:
+                value = next(tokens, "--")  # a value may be "-" or a negative int
+                if value[:1] == "-" != value and not value[1:].isdecimal():
+                    raise ValueError(f"argument {name}: expected one argument")
+            if isinstance(kind, tuple) and value not in kind:
+                choices = ", ".join(map(repr, kind))
+                raise ValueError(
+                    f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+            try:
+                setattr(args, dest[name], kind is None or (int(value) if kind is int else value))
+            except ValueError:
+                raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+        missing = ", ".join(n for n in kinds if getattr(args, dest[n]) is ...)
+        if missing:
+            raise ValueError(f"the following arguments are required: {missing}")
+    except ValueError as exc:
+        print(usage, f"{prog}: error: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    return args
 
 
 def run(argv) -> int:
-    # listing the suites imports verify and every pipeline, so only a
-    # verify request pays for it; the subcommand is argv's first positional
-    suites = ()
-    if next((a for a in argv if not a.startswith("-")), None) == "verify":
-        from .verify import SUITES as suites
-    parser = build_parser(suites)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _parse(argv)
+    if isinstance(args, int):
+        return args
     try:
         code, doc, lines = args.fn(args)
     except (ValueError, KeyError) as exc:

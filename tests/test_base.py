@@ -289,6 +289,11 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((1, 1))
 
+    @pytest.mark.parametrize("images", [(True,), (2, True), (1.0, 2)])
+    def test_images_are_ints_not_bools(self, images):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images)
+
 
 class TestZOf:
     def test_examples(self):

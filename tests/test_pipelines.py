@@ -177,8 +177,9 @@ TABLEAU_ONLY = {
     "chromatic", "qsym", "sym", "pathqsym", "pathcovers", "character", "verify", "_exports"
 }
 # Standard-library modules no request needs: the value types are not
-# dataclasses, and only a basis solve or a character makes a Fraction.
-NOT_NEEDED = {"dataclasses", "inspect", "fractions", "decimal"}
+# dataclasses, only a basis solve or a character makes a Fraction, and the
+# CLI reads argv without argparse (and the gettext and locale it loads).
+NOT_NEEDED = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize(
