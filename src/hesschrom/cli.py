@@ -216,7 +216,7 @@ def _parse(argv):
                 raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
             if kind and not eq:
                 value = next(tokens, "--")  # a value may be "-" or a negative int
-                if value[:1] == "-" != value and not value[1:].isdecimal():
+                if value.startswith("-") and value != "-" and not value[1:].isdecimal():
                     raise ValueError(f"argument {name}: expected one argument")
             if isinstance(kind, tuple) and value not in kind:
                 choices = ", ".join(map(repr, kind))
