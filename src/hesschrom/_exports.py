@@ -75,7 +75,7 @@ from .qsym import (
     quasi_shuffle,
     to_m_basis,
 )
-from .sym import expand_in_basis, generator, kostka, kostka_bruteforce
+from .sym import contract_to_m, expand_in_basis, generator, kostka, kostka_bruteforce
 from .verify import (
     InvalidCoverError,
     sw_inversions_of_cover,

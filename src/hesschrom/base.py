@@ -429,17 +429,6 @@ class Composition(_Parts):
         all_bars = set(range(1, self.n))
         return Composition.from_bars(self.n, all_bars - self.bars())
 
-    def bar_union(self, other: "Composition") -> "Composition":
-        if self.n != other.n:
-            raise DegreeMismatchError(f"degrees differ: {self.n} vs {other.n}")
-        return Composition.from_bars(self.n, self.bars() | other.bars())
-
-    def refines(self, other: "Composition") -> bool:
-        """The paper's coarse-to-fine order: true iff our bars are a subset."""
-        if self.n != other.n:
-            raise DegreeMismatchError(f"degrees differ: {self.n} vs {other.n}")
-        return self.bars() <= other.bars()
-
     def sorted_partition(self) -> "Partition":
         return Partition(tuple(sorted(self.parts, reverse=True)))
 
@@ -469,9 +458,6 @@ class Partition(_Parts):
 
 def compositions(n: int):
     """All compositions of n in lexicographic order of part sequences."""
-    if n == 0:
-        yield Composition(())
-        return
 
     def rec(k):
         if k == 0:
@@ -485,13 +471,13 @@ def compositions(n: int):
         yield Composition(parts)
 
 
-def partitions(n: int, max_part: int = None):
-    """All partitions of n with parts at most max_part (default n), in
-    reverse lexicographic (descending) order: a fresh iterator over one
-    tuple of Partitions built once per (n, max_part)."""
-    return iter(_partitions(n, n if max_part is None else min(max_part, n)))
+def partitions(n: int):
+    """All partitions of n in reverse lexicographic (descending) order: a
+    fresh iterator over one tuple of Partitions built once per n."""
+    return iter(_partitions(n, n))
 
 
+# The partitions of n with parts at most max_part, the recursion's key.
 # One entry for every key (n, max_part) with max_part <= n <= DEFAULT_MAX_N.
 # A forced larger n evicts entries and rebuilds them: at n = 14 the whole
 # build takes about 1.5 ms with this bound and 1.4 ms with none.

@@ -60,11 +60,19 @@ class Tableau(_Frozen):
         super().__init__(shape, rows)
 
 
+def _check_shape(m: HessenbergFunction, lam: Partition) -> None:
+    """The one check of a shape: ``TypeError`` unless lam is a
+    ``Partition``, ``ValueError`` unless it is a partition of n."""
+    if not isinstance(lam, Partition):
+        raise TypeError(f"lambda={lam!r} is not a Partition")
+    if lam.n != m.n:
+        raise ValueError(f"{lam} is not a partition of {m.n}")
+
+
 @guarded
 def admissible_tableaux(m: HessenbergFunction, lam: Partition):
     """All fillings with k immediately left of j only if k <= m_j."""
-    if lam.n != m.n:
-        raise ValueError(f"{lam} is not a partition of {m.n}")
+    _check_shape(m, lam)
     shape = lam.parts
     cap = m.m + (m.n,)
     out = []
@@ -207,8 +215,7 @@ def betti_vector(m: HessenbergFunction, lam: Partition) -> TPoly:
     """sum_d beta_{2d} t^d: admissible tableaux of shape lam counted by
     unified dimension d, one reading-order position at a time, along the
     one path of lam's row lengths through the walk of ``betti_vectors``."""
-    if lam.n != m.n:
-        raise ValueError(f"{lam} is not a partition of {m.n}")
+    _check_shape(m, lam)
     return _walk(m, lam.parts[::-1])[lam.parts]
 
 

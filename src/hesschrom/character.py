@@ -56,9 +56,6 @@ class ClassFunction(_Frozen):
         # values: pairs (Partition cycle type, integer), reverse-lex order
         super().__init__(n, values)
 
-    def as_dict(self):
-        return dict(self.values)
-
     def __call__(self, arg) -> int:
         if arg.n != self.n:
             raise DegreeMismatchError(

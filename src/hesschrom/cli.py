@@ -54,8 +54,7 @@ def _parse_ints(text: str):
 
 def _parse_hessenberg(args) -> HessenbergFunction:
     m = _parse_ints(args.m)
-    n = len(m) + 1 if args.n is None else args.n
-    return HessenbergFunction(n, m)
+    return HessenbergFunction(len(m) + 1, m)
 
 
 def _parse_digraph(args) -> Digraph:
@@ -149,8 +148,7 @@ _OUTPUT = (("--json", None, False, "machine-readable output"),)
 _GUARDED = _OUTPUT + (("--max-n", int, DEFAULT_MAX_N, "enumeration guard"),
                       ("--force", None, False, "override the guard"))
 _STAT = _GUARDED + (("--stat", ("asc", "des"), "asc", "statistic"),)
-_OF_M = (("--n", int, None, "number of vertices"),
-         ("--m", str, ..., "comma-separated m_1,...,m_{n-1}"))
+_OF_M = (("--m", str, ..., "comma-separated m_1,...,m_{n-1}"),)
 _XG = _STAT + _OF_M + (("--basis", ("m", "M", "e", "h", "p", "s"), "m", "output basis"),)
 _COMMANDS = {  # command: (help, handler, flags)
     "xg": ("chromatic quasisymmetric function of G(m)", _cmd_xg, _XG),

@@ -143,9 +143,8 @@ def c_via_path_covers(m: HessenbergFunction, alpha: Composition, stat: str = "as
     """The TPoly [M_alpha] ``path_qsym`` of the complement of D(m), whose t^d
     counts its ordered path covers (q, alpha) with statistic d.  For alpha a
     rearrangement of lambda it is c_{d,lambda}, the same TPoly as
-    ``omega_x_of(m).coeff(lambda)`` and ``betti_vector(m, lambda)``."""
-    if alpha.n != m.n:
-        raise ValueError(f"{alpha} is not a composition of {m.n}")
+    ``omega_x_of(m).coeff(lambda)`` and ``betti_vector(m, lambda)``.  The
+    key check of ``QSymElement.coeff`` refuses any other alpha."""
     return path_qsym(_complement_of(m), stat, force=True).coeff(alpha)
 
 

@@ -91,6 +91,16 @@ QSYM_BASES = ("M", "F")
 SYM_BASES = ("m", "e", "h", "p", "s")
 
 
+def _check_key(key, basis: str, n: int) -> None:
+    """The key rule that ``QSymElement``'s docstring states, shared by its
+    constructor and ``coeff``."""
+    kind = Composition if basis in QSYM_BASES else Partition
+    if not isinstance(key, kind):
+        raise TypeError(f"basis {basis} takes {kind.__name__} keys, not {key!r}")
+    if key.n != n:
+        raise DegreeMismatchError(f"{key} is not a {kind.__name__.lower()} of {n}")
+
+
 class QSymElement(_Frozen):
     """Immutable finite map from keys of degree n to TPoly, tagged with a
     basis: compositions for the quasisymmetric bases M and F, partitions
@@ -117,15 +127,11 @@ class QSymElement(_Frozen):
             raise TypeError(f"degree {n!r} is not an int")
         if basis not in QSYM_BASES + SYM_BASES:
             raise ValueError(f"unknown basis: {basis!r}")
-        kind = Composition if basis in QSYM_BASES else Partition
         clean = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, c in items:
-                if not isinstance(key, kind):
-                    raise TypeError(f"basis {basis} takes {kind.__name__} keys, not {key!r}")
-                if key.n != n:
-                    raise DegreeMismatchError(f"{key} is not a {kind.__name__.lower()} of {n}")
+                _check_key(key, basis, n)
                 c = _coerce_poly(c)
                 if key in clean:
                     c = clean[key] + c
@@ -140,6 +146,8 @@ class QSymElement(_Frozen):
         return cls(key.n, basis, {key: _coerce_poly(coeff)})
 
     def coeff(self, key) -> TPoly:
+        """The coefficient of key, zero if absent; raises on a key the constructor refuses."""
+        _check_key(key, self.basis, self.n)
         return self.terms.get(key, _ZERO)
 
     def __bool__(self):
@@ -162,10 +170,6 @@ class QSymElement(_Frozen):
     def scaled(self, c) -> "QSymElement":
         c = _coerce_poly(c)
         return QSymElement(self.n, self.basis, {k: v * c for k, v in self.terms.items()})
-
-    def t_slice(self, d: int) -> "QSymElement":
-        """Constant-coefficient element holding the t^d coefficients."""
-        return QSymElement(self.n, self.basis, {k: c.coeff(d) for k, c in self.terms.items()})
 
     def sorted_terms(self):
         """(key, coefficient) pairs, partitions in descending order and
@@ -219,15 +223,13 @@ def _subsets_of(beta: Composition):
 
 
 def omega(x: QSymElement) -> QSymElement:
-    """The omega involution, on the M basis (F inputs are converted); an
-    m-basis input stays in the m basis, through the forgotten basis f."""
+    """The omega involution, on the M basis; an m-basis input stays in the
+    m basis, through the forgotten basis f."""
     if x.basis == "m":
         from .sym import _apply  # only the m basis needs sym
         return _apply(x, "f", "m")
-    if x.basis == "F":
-        x = f_to_m(x)
-    elif x.basis != "M":
-        raise ValueError(f"omega expects the M, F or m basis, not {x.basis!r}")
+    if x.basis != "M":
+        raise ValueError(f"omega expects the M or m basis, not {x.basis!r}")
     acc = {}
     for beta, c in x.terms.items():
         sign = (-1) ** (x.n - beta.length)

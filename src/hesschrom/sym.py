@@ -82,8 +82,6 @@ def kostka_bruteforce(lam: Partition, mu: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _one_part_generator(kind: str, k: int) -> QSymElement:
-    if k == 0:
-        return QSymElement(0, "M", {Composition(()): 1})
     if kind == "p":
         return QSymElement.monomial(Composition((k,)), "M")
     if kind == "e":

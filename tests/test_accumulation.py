@@ -53,7 +53,7 @@ def oracle_f_to_m(x):
     out = QSymElement(x.n, "M")
     for alpha, c in x.terms.items():
         for beta in compositions(x.n):
-            if alpha.refines(beta):
+            if alpha.bars() <= beta.bars():  # alpha is coarser than beta
                 out += QSymElement.monomial(beta, "M", c)
     return out
 
@@ -62,7 +62,7 @@ def oracle_m_to_f(x):
     out = QSymElement(x.n, "F")
     for alpha, c in x.terms.items():
         for beta in compositions(x.n):
-            if alpha.refines(beta):
+            if alpha.bars() <= beta.bars():  # alpha is coarser than beta
                 sign = (-1) ** (beta.num_bars - alpha.num_bars)
                 out += QSymElement.monomial(beta, "F", c * sign)
     return out
@@ -73,7 +73,7 @@ def oracle_omega(x):
     for beta, c in x.terms.items():
         sign = (-1) ** (x.n - beta.length)
         for alpha in compositions(x.n):
-            if alpha.refines(beta):
+            if alpha.bars() <= beta.bars():  # alpha is coarser than beta
                 out += QSymElement.monomial(alpha, "M", c * sign)
     return out
 

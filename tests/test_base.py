@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from hesschrom.base import (
     Composition,
-    DegreeMismatchError,
     Partition,
     Permutation,
     Report,
     TPoly,
+    _partitions,
     compositions,
     partitions,
     rearrangements,
@@ -190,34 +190,6 @@ class TestComposition:
     def test_bars_round_trip(self, alpha):
         assert Composition.from_bars(alpha.n, alpha.bars()) == alpha
 
-    def test_bar_union(self):
-        assert Composition((2, 1)).bar_union(Composition((1, 2))).parts == (1, 1, 1)
-        assert Composition((3,)).bar_union(Composition((3,))).parts == (3,)
-        assert Composition((1, 2)).bar_union(Composition((3,))).parts == (1, 2)
-
-    def test_refines(self):
-        assert Composition((3,)).refines(Composition((1, 2)))
-        assert not Composition((1, 2)).refines(Composition((2, 1)))
-        alpha = Composition((2, 1))
-        assert alpha.refines(alpha)
-
-    def test_refines_partial_order(self):
-        all4 = list(compositions(4))
-        for a in all4:
-            assert a.refines(a)
-            for b in all4:
-                if a.refines(b) and b.refines(a):
-                    assert a == b
-                for c in all4:
-                    if a.refines(b) and b.refines(c):
-                        assert a.refines(c)
-
-    def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatchError):
-            Composition((2,)).bar_union(Composition((3,)))
-        with pytest.raises(DegreeMismatchError):
-            Composition((2,)).refines(Composition((3,)))
-
     @pytest.mark.parametrize("cls", [Composition, Partition])
     def test_a_bool_is_not_a_part(self, cls):
         with pytest.raises(ValueError, match="positive integers"):
@@ -259,17 +231,18 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(9))
     def test_partitions_with_max_part(self, n):
-        """partitions(n, k) is partitions(n) cut to parts at most k."""
+        """The cached recursion ``_partitions(n, k)`` is partitions(n) cut
+        to parts at most k."""
         whole = list(partitions(n))
-        for k in range(n + 2):
-            assert list(partitions(n, k)) == [lam for lam in whole if lam.n == 0 or lam.parts[0] <= k]
-        assert list(partitions(n, n)) == whole == list(partitions(n, n + 3))
+        for k in range(n + 1):
+            assert list(_partitions(n, k)) == [lam for lam in whole if lam.n == 0 or lam.parts[0] <= k]
+        assert list(_partitions(n, n)) == whole
 
     def test_partitions_are_valid_partitions(self):
         for n in range(9):
             for lam in partitions(n):
                 assert type(lam) is Partition and Partition(lam.parts) == lam
-        assert list(partitions(-1)) == [] and list(partitions(3, 0)) == []
+        assert list(partitions(-1)) == []
 
     @pytest.mark.parametrize("n", range(10))
     def test_rearrangements_are_the_distinct_permutations(self, n):

@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from hesschrom.base import Composition, Partition, TPoly, partitions
+from hesschrom.base import Composition, DegreeMismatchError, Partition, TPoly, partitions
 from hesschrom.betti import (
     Tableau,
     admissible_tableaux,
     betti_vector,
+    betti_vector_bruteforce,
     betti_vectors,
     cell_dimension,
     check_palindromic,
@@ -14,7 +15,7 @@ from hesschrom.betti import (
     t_inversions,
     unified_dimension,
 )
-from hesschrom.character import omega_x_of
+from hesschrom.character import omega_x_of, x_of
 from hesschrom.hessenberg import (
     HessenbergFunction,
     complement,
@@ -134,6 +135,16 @@ class TestBettiVector:
         for m in enumerate_hessenberg(n):
             assert betti_vector(m, Partition((1,) * n)).evaluate(1) == math.factorial(n)
 
+    @pytest.mark.parametrize(
+        "read", [betti_vector, betti_vector_bruteforce, admissible_tableaux, check_palindromic]
+    )
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 1)])
+    def test_a_shape_is_a_partition(self, read, parts):
+        """Every reader of a shape takes a Partition: a Composition, even
+        one whose parts decrease, is a ``TypeError``."""
+        with pytest.raises(TypeError, match="is not a Partition"):
+            read(HessenbergFunction(3, (2, 3)), Composition(parts))
+
 
 class TestCCoeffs:
     """c_{d,lambda}, the t^d coefficient of [m_lambda] omega X_{G(m)}(t)."""
@@ -157,6 +168,23 @@ class TestCCoeffs:
             for lam in partitions(n):
                 via_covers = c_via_path_covers(m, lam.reversed_composition())
                 assert via_covers == wx.coeff(lam) == betti_vector(m, lam), (m, lam)
+
+    def test_a_key_of_the_wrong_kind_or_size_is_refused(self):
+        """Each route reads its coefficient by the key rule of
+        ``QSymElement``: a partition where a composition belongs, or the
+        other way round, or a key of another size, raises instead of
+        reading zero."""
+        m = HessenbergFunction(3, (2, 3))
+        assert c_via_path_covers(m, Composition((1, 2))) == TPoly({0: 1, 1: 3, 2: 1})
+        with pytest.raises(TypeError, match="Composition keys"):
+            c_via_path_covers(m, Partition((2, 1)))
+        assert x_of(m).coeff(Partition((2, 1))) == TPoly({1: 1})
+        with pytest.raises(TypeError, match="Partition keys"):
+            x_of(m).coeff(Composition((2, 1)))
+        with pytest.raises(DegreeMismatchError, match=r"\[2\] is not a partition of 3"):
+            omega_x_of(m).coeff(Partition((2,)))
+        with pytest.raises(DegreeMismatchError, match=r"\(1,1\) is not a composition of 3"):
+            c_via_path_covers(m, Composition((1, 1)))
 
 
 class TestSwBijection:

@@ -16,7 +16,7 @@ def capture(capsys, argv):
 
 class TestXg:
     def test_text_output(self, capsys):
-        code, out, _ = capture(capsys, ["xg", "--n", "3", "--m", "2,3", "--basis", "m"])
+        code, out, _ = capture(capsys, ["xg", "--m", "2,3", "--basis", "m"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines == [
@@ -221,11 +221,11 @@ class TestUsageErrors:
 
 # The flags each subcommand accepts, in the order its help lists them.
 FLAGS = {
-    "xg": ["--json", "--max-n", "--force", "--stat", "--n", "--m", "--basis"],
-    "omega-xg": ["--json", "--max-n", "--force", "--stat", "--n", "--m", "--basis"],
+    "xg": ["--json", "--max-n", "--force", "--stat", "--m", "--basis"],
+    "omega-xg": ["--json", "--max-n", "--force", "--stat", "--m", "--basis"],
     "xi": ["--json", "--max-n", "--force", "--stat", "--edges", "--vertices"],
-    "betti": ["--json", "--max-n", "--force", "--n", "--m", "--lambda"],
-    "character": ["--json", "--max-n", "--force", "--n", "--m", "--d"],
+    "betti": ["--json", "--max-n", "--force", "--m", "--lambda"],
+    "character": ["--json", "--max-n", "--force", "--m", "--d"],
     "enumerate": ["--json", "--max-n", "--force", "--n"],
     "verify": ["--json", "--suite", "--max-n", "--seed"],
 }

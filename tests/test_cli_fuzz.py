@@ -42,11 +42,11 @@ STAT = maybe("--stat", st.sampled_from(["asc", "des", "x", ""]))
 BASIS = maybe("--basis", st.sampled_from(["m", "M", "e", "h", "p", "s", "F", ""]))
 
 GRAMMAR = {
-    "xg": [often("--m", INT_LIST), maybe("--n", INT), BASIS, STAT, GUARD],
-    "omega-xg": [often("--m", INT_LIST), maybe("--n", INT), BASIS, STAT, GUARD],
+    "xg": [often("--m", INT_LIST), BASIS, STAT, GUARD],
+    "omega-xg": [often("--m", INT_LIST), BASIS, STAT, GUARD],
     "xi": [maybe("--edges", EDGES), maybe("--vertices", LABELS), STAT, GUARD],
-    "betti": [often("--m", INT_LIST), maybe("--n", INT), often("--lambda", INT_LIST), GUARD],
-    "character": [often("--m", INT_LIST), maybe("--n", INT), often("--d", INT), GUARD],
+    "betti": [often("--m", INT_LIST), often("--lambda", INT_LIST), GUARD],
+    "character": [often("--m", INT_LIST), often("--d", INT), GUARD],
     "enumerate": [often("--n", INT), GUARD],
 }
 

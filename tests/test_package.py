@@ -29,7 +29,8 @@ PUBLIC = [
     "admissible_tableaux", "betti_vector", "betti_vector_bruteforce",
     "betti_vectors",
     "c_via_path_covers", "cell_dimension", "check_palindromic", "chromatic_qsym",
-    "chromatic_qsym_bruteforce", "complement", "compositions", "cover_paths",
+    "chromatic_qsym_bruteforce", "complement", "compositions", "contract_to_m",
+    "cover_paths",
     "digraph",
     "dot_character", "e_positivity_report", "enumerate_hessenberg",
     "expand_in_basis", "f_to_m", "fixed_space_dims", "frobenius_image",

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,7 +91,13 @@ class TestBasisChange:
 
 class TestOmega:
     def test_omega_f_example(self):
-        assert omega(F(2)) == f_to_m(F(1, 1))
+        assert omega(f_to_m(F(2))) == f_to_m(F(1, 1))
+
+    def test_rejects_the_f_basis(self):
+        """An F-basis input is read through ``f_to_m`` first; omega has no
+        second route into the M basis."""
+        with pytest.raises(ValueError, match="omega expects the M or m basis, not 'F'"):
+            omega(F(2))
 
     def test_omega_m11_via_e2_h2(self):
         # oracle: omega e_2 = h_2 with e_2 = M_(1,1), h_2 = M_(2) + M_(1,1)
@@ -416,6 +423,31 @@ class TestConstruction:
         would drop it, and ``to_m_basis`` would fail on it."""
         with pytest.raises(TypeError, match="keys"):
             QSymElement(key.n, basis, {key: 1})
+
+    @pytest.mark.parametrize(
+        "basis, key",
+        [
+            ("m", Composition((2, 1))),
+            ("s", Composition((3,))),
+            ("M", Partition((2, 1))),
+            ("F", Partition((3,))),
+        ],
+        ids=["m", "s", "M", "F"],
+    )
+    def test_coeff_refuses_a_key_of_the_other_kind(self, basis, key):
+        """``coeff`` applies the constructor's key rule: a key the element
+        could never hold is an error, not a zero coefficient."""
+        own = (Composition if basis in "MF" else Partition)(key.parts)
+        x = QSymElement(3, basis, {own: TPoly({1: 1})})
+        assert x.coeff(own) == TPoly({1: 1})
+        with pytest.raises(TypeError, match="keys"):
+            x.coeff(key)
+
+    @pytest.mark.parametrize("basis, key", [("m", Partition((2,))), ("M", Composition((1, 3)))])
+    def test_coeff_refuses_a_key_of_another_degree(self, basis, key):
+        x = QSymElement(3, basis)
+        with pytest.raises(DegreeMismatchError, match=re.escape(f"{key} is not a")):
+            x.coeff(key)
 
     @pytest.mark.parametrize(
         "build",

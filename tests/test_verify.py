@@ -146,16 +146,16 @@ def test_unified_record(monkeypatch):
 
 def test_bijection_record(monkeypatch):
     def corrupted(real):
-        def call(paths, sw, m):
-            mapping = real(paths, sw, m)
-            if m == TARGET and list(paths) == [(3, 2, 1)]:
+        def call(cover, m):
+            mapping = real(cover, m)
+            if m == TARGET and cover.q == (3, 2, 1) and cover.beta.parts == (3,):
                 return dict.fromkeys(mapping, (2, 1))
             return mapping
 
         return call
 
     _assert_fails_with(
-        verify.suite_bijection, monkeypatch, "_sw_to_t", corrupted, 3,
+        verify.suite_bijection, monkeypatch, "sw_to_t_bijection", corrupted, 3,
         (
             "m=(2,3), cover q=(3, 2, 1), beta=(3)",
             "bijection onto [(2, 1), (3, 1)]",
