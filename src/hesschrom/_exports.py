@@ -38,11 +38,7 @@ from .character import (
     schur_positivity_report,
     x_of,
 )
-from .chromatic import (
-    chromatic_qsym,
-    chromatic_qsym_bruteforce,
-    stable_ordered_partitions,
-)
+from .chromatic import chromatic_qsym
 from .hessenberg import (
     Digraph,
     Graph,
@@ -55,6 +51,13 @@ from .hessenberg import (
     poset_relation,
     staircase,
     weight,
+)
+from .oracles import (
+    chromatic_qsym_bruteforce,
+    generator,
+    kostka_bruteforce,
+    quasi_shuffle,
+    stable_ordered_partitions,
 )
 from .pathcovers import (
     OrderedPathCover,
@@ -72,10 +75,9 @@ from .qsym import (
     is_symmetric,
     m_to_f,
     omega,
-    quasi_shuffle,
     to_m_basis,
 )
-from .sym import contract_to_m, expand_in_basis, generator, kostka, kostka_bruteforce
+from .sym import contract_to_m, expand_in_basis, kostka
 from .verify import (
     InvalidCoverError,
     sw_inversions_of_cover,

@@ -5,10 +5,11 @@ exponential entry point declares with ``@guarded``.
 
 All values but Reports are immutable after construction and all
 arithmetic is exact: arbitrary-precision integers, and Fractions inside
-a basis solve and in the results that keep them for good, such as a
-p-basis expansion.  Results that are integers by theorem hold ints: the
-character readouts, and ``frobenius_image``, which sums in ints and
-divides by n! once.
+the character readouts' solve and in the results that keep them for
+good, such as a p-basis expansion.  Results that are integers by theorem
+hold ints: e, h and s expansions, which multiply by integer inverse
+matrices, the character readouts, and ``frobenius_image``, which sums in
+ints and divides by n! once.
 
 Value types, here and in the other modules, are hand-written slotted
 classes on the private ``_Frozen`` base below, ``TPoly`` among them,
@@ -214,13 +215,15 @@ class TPoly(_Frozen):
     ``terms`` is a read-only mapping of integer exponents (possibly
     negative) to nonzero coefficients: TPolys are the coefficients of the
     expansions that lru caches share.  Coefficients are ints, or
-    Fractions: inside a linear solve, and for good in the results that
-    keep them, such as a p-basis expansion (``xg --m 2,3 --basis p`` prints
-    1/3, -1/2 and 1/6), or ``frobenius_image`` of a class function that is
-    not a character.  ``TPoly(terms)``, ``const`` and ``t`` raise
-    ``TypeError`` on any other coefficient (the scalar rule of the
-    arithmetic), on an exponent that is not an int, and on a bool
-    (``_is_number``); ``_of`` trusts its caller.  Zero coefficients are
+    Fractions: inside the character readouts' linear solve, and for good
+    in the results that keep them, such as a p-basis expansion, which
+    divides by z_lambda (``xg --m 2,3 --basis p`` prints 1/3, -1/2 and
+    1/6), or ``frobenius_image`` of a class function that is not a
+    character.  An e, h or s expansion of ints holds ints.
+    ``TPoly(terms)``, ``const`` and ``t`` raise ``TypeError`` on any other
+    coefficient (the scalar rule of the arithmetic), on an exponent that
+    is not an int, and on a bool (``_is_number``); ``_of`` trusts its
+    caller.  Zero coefficients are
     never stored, so equality is term-map equality, and a TPoly equals a
     scalar, and hashes like it, exactly when it is constant at it (the
     empty TPoly at 0).

@@ -11,9 +11,12 @@ The readouts at degree d work on one vector, c_{d,lambda}: the t^d
 coefficients of ``omega_x_of(m)`` in ``partitions(n)`` order, which
 ``fixed_space_dims`` alone reads.  ``dot_character`` and
 ``irreducible_multiplicities`` solve its values against the p and s
-matrices, one solve each, with no element built in between.
+matrices, one solve each, with no element built in between, and raise
+``IntegralityError`` on a value that is not an int.
 ``frobenius_image`` goes back through the p matrix in ints and divides
-by n! once at the end.
+by n! once at the end.  ``e_positivity_report`` reads the e expansion,
+an integer matrix times ``x_of(m)``, so its values are ints by
+construction.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .base import (
 from .chromatic import chromatic_qsym
 from .hessenberg import HessenbergFunction, incomparability_graph, weight
 from .qsym import QSymElement, omega, to_m_basis
-from .sym import _columns, _solve_in_basis, expand_in_basis
+from .sym import _columns, _quotient, _solve_in_basis, expand_in_basis
 
 
 class IntegralityError(ArithmeticError):
@@ -123,21 +126,13 @@ def frobenius_image(chi: ClassFunction) -> QSymElement:
     chi is a character. A class function that is not one may leave a
     remainder, and that coefficient is the exact Fraction."""
     order = factorial(chi.n)
-    columns = _columns(chi.n, "p")
+    columns = _columns(chi.n, "p", False)
     acc = {}
     for mu, v in chi.values:
         scale = v * (order // z_of(mu))
         for lam, c in columns[mu]:
             acc[lam] = acc.get(lam, 0) + scale * c
-    out = {}
-    for lam, total in acc.items():
-        q, r = divmod(total, order)
-        if r:
-            from fractions import Fraction  # only a non-character gets here
-
-            q = Fraction(total, order)
-        out[lam] = q
-    return QSymElement(chi.n, "m", out)
+    return QSymElement(chi.n, "m", {lam: _quotient(total, order) for lam, total in acc.items()})
 
 
 @guarded
@@ -161,9 +156,7 @@ def e_positivity_report(m: HessenbergFunction) -> Report:
     """Expand X_{G(m)}(t) in the e basis per t-degree; record negatives."""
     in_e = expand_in_basis(x_of(m, force=True), "e")
     triples = (
-        (lam, d, _as_int(poly.coeff(d), "e-coefficient at {}, t^{}", lam, d))
-        for lam, poly in in_e.sorted_terms()
-        for d in poly.exponents()
+        (lam, d, poly.coeff(d)) for lam, poly in in_e.sorted_terms() for d in poly.exponents()
     )
     return _negativity_report("epos", m, triples)
 

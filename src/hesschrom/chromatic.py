@@ -11,67 +11,18 @@ each v in B down to a smaller vertex of U; for des, up to a larger one.
 That is at most 3^n moves in place of one per ordered partition.
 The (block sizes, t-exponent) pairs are packed into one int key, which
 ``qsym._unpack`` decodes; ``pathqsym`` shares that decoder and nothing
-else. ``chromatic_qsym_bruteforce`` keeps the sum over
-``stable_ordered_partitions`` as its oracle; it builds its compositions
-without the decoder.
+else. Its oracle, the sum over ``stable_ordered_partitions`` in
+``oracles.chromatic_qsym_bruteforce``, lives apart, so an ``xg`` request
+does not compile it.
 
 This module does not import ``pathqsym``, nor ``pathqsym`` this one:
 X_{G(m)} = Xi_{D(m)} compares two independent computations."""
 
 from __future__ import annotations
 
-from .base import Composition, guarded
+from .base import guarded
 from .hessenberg import Graph
-from .qsym import QSymElement, _check_stat, _freeze, _unpack
-
-
-def _stable_subsets(vertices, graph: Graph):
-    """Nonempty stable subsets of the given vertex list, ordered by the
-    bitmask over the sorted vertex list (lexicographic and reproducible)."""
-    vs = sorted(vertices)
-    for mask in range(1, 1 << len(vs)):
-        block = [v for i, v in enumerate(vs) if mask >> i & 1]
-        if all(
-            not graph.has_edge(u, v)
-            for i, u in enumerate(block)
-            for v in block[i + 1 :]
-        ):
-            yield frozenset(block)
-
-
-@guarded
-def stable_ordered_partitions(graph: Graph):
-    """All ordered partitions of V(G) into stable blocks."""
-    out = []
-
-    def rec(remaining, prefix):
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for block in _stable_subsets(remaining, graph):
-            prefix.append(block)
-            rec(remaining - block, prefix)
-            prefix.pop()
-
-    rec(frozenset(graph.vertices), [])
-    return out
-
-
-def _stat_of_partition(blocks, graph: Graph, stat: str) -> int:
-    """asc: edges {u,v}, u<v, with v in a strictly later block; des swaps
-    the roles of u and v."""
-    position = {}
-    for i, block in enumerate(blocks):
-        for v in block:
-            position[v] = i
-    count = 0
-    for e in graph.edges:
-        u, v = sorted(e)
-        if stat == "asc":
-            count += position[v] > position[u]
-        else:
-            count += position[u] > position[v]
-    return count
+from .qsym import QSymElement, _check_stat, _unpack
 
 
 @guarded
@@ -123,15 +74,3 @@ def chromatic_qsym(graph: Graph, stat: str = "asc") -> QSymElement:
             block = (block - 1) & free
     return _unpack(n, states[full])
 
-
-@guarded
-def chromatic_qsym_bruteforce(graph: Graph, stat: str = "asc") -> QSymElement:
-    """Oracle for ``chromatic_qsym``: sum the statistic over every
-    stable ordered partition."""
-    _check_stat(stat)
-    acc = {}
-    for blocks in stable_ordered_partitions(graph, force=True):
-        d = _stat_of_partition(blocks, graph, stat)
-        slot = acc.setdefault(Composition(tuple(len(b) for b in blocks)), {})
-        slot[d] = slot.get(d, 0) + 1
-    return _freeze(len(graph.vertices), "M", acc)

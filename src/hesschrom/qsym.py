@@ -1,10 +1,9 @@
 """Homogeneous quasisymmetric functions of one degree with Laurent
-polynomial coefficients: ``QSymElement``, the M and F bases, the
-quasi-shuffle product, the omega involution, symmetry detection and the
-reading of a symmetric element in the monomial basis m
-(``to_m_basis``); ``_unpack``, the decoder of the packed keys of the
-subset DPs in ``chromatic`` and ``pathqsym``; and ``_check_stat``, the
-check of their asc/des statistic argument.
+polynomial coefficients: ``QSymElement``, the M and F bases, the omega
+involution, symmetry detection and the reading of a symmetric element in
+the monomial basis m (``to_m_basis``); ``_unpack``, the decoder of the
+packed keys of the subset DPs in ``chromatic`` and ``pathqsym``; and
+``_check_stat``, the check of their asc/des statistic argument.
 
 The omega involution on the M basis is implemented with the sign
 (-1)^(n - length(beta)), which is the one forced by omega F_alpha =
@@ -12,11 +11,11 @@ F_{complement(alpha)} together with omega e = h; see the calibration
 suite. On the m basis omega m_lambda is the forgotten symmetric function
 f_lambda, so ``omega`` applies the matrix ``sym._transition_matrix(n, "f")``.
 
-The partition-space layer (the e, h, p and s bases, Kostka numbers and
-the M-basis generators that are their oracle) lives in ``sym``, which
-imports this module; this module imports ``sym`` only inside ``omega``'s
-m-basis branch, so an ``xi`` request or an M- or m-basis ``xg`` request
-compiles none of it.
+The partition-space layer (the e, h, p and s bases and Kostka numbers)
+lives in ``sym``, which imports this module; this module imports ``sym``
+only inside ``omega``'s m-basis branch, so an ``xi`` request or an M- or
+m-basis ``xg`` request compiles none of it.  The quasi-shuffle product
+and the M-basis generators built from it are oracles, in ``oracles``.
 """
 
 from __future__ import annotations
@@ -236,36 +235,6 @@ def omega(x: QSymElement) -> QSymElement:
         for alpha in _subsets_of(beta):
             _add_scaled(acc, alpha, c, sign)
     return _freeze(x.n, "M", acc)
-
-
-def _qshuffles(a: tuple, b: tuple):
-    """Quasi-shuffles (overlapping shuffles) of two part tuples, with
-    multiplicity."""
-    if not a:
-        yield b
-        return
-    if not b:
-        yield a
-        return
-    for rest in _qshuffles(a[1:], b):
-        yield (a[0],) + rest
-    for rest in _qshuffles(a, b[1:]):
-        yield (b[0],) + rest
-    for rest in _qshuffles(a[1:], b[1:]):
-        yield (a[0] + b[0],) + rest
-
-
-def quasi_shuffle(x: QSymElement, y: QSymElement) -> QSymElement:
-    """Product of monomial quasisymmetric functions (degrees add)."""
-    if x.basis != "M" or y.basis != "M":
-        raise ValueError("quasi_shuffle expects both factors in the M basis")
-    acc = {}
-    for alpha, ca in x.terms.items():
-        for beta, cb in y.terms.items():
-            c = ca * cb
-            for parts in _qshuffles(alpha.parts, beta.parts):
-                _add_scaled(acc, parts, c)
-    return _freeze(x.n + y.n, "M", {Composition(p): slot for p, slot in acc.items()})
 
 
 def is_symmetric(x: QSymElement) -> bool:

@@ -1,27 +1,32 @@
 """The partition-space layer: symmetric functions of degree n as vectors
-over the partitions of n, and the exact integer matrices that expand the
-e, h, p, s and forgotten f bases in the m basis.
+over the partitions of n, and the exact integer matrices that change
+between the m basis and the e, h, p, s and forgotten f bases.
 
-A change of basis goes through one matrix per (n, basis),
-``_transition_matrix``, built on partitions alone and cached as tuples:
-Kostka numbers by adding horizontal strips (Pieri), h and e as sums of
-products of two Kostka columns, p by a memoised count of the merges of
-one partition's parts into another's, f as S C S^-1 from the s matrix S
-and the conjugation of partitions C.  ``_solve_in_basis`` solves against
-it, for ``expand_in_basis`` and for the character readouts, which pass
-scalar m-coefficients; ``contract_to_m`` multiplies by it, and so does
-``qsym.omega`` on the m basis by the f matrix, as omega m_lambda =
-f_lambda (f is not a basis of ``QSymElement``).  The two products, and
-``character.frobenius_image``, read the matrix's nonzero entries column
-by column from ``_columns``, built once per (n, basis).
+Every change of basis goes through one matrix per (n, basis), built on
+partitions alone and cached as tuples of ints.  ``_transition_matrix``
+expands a basis in m: Kostka numbers by adding horizontal strips (Pieri),
+h and e as sums of products of two Kostka columns, p by a memoised count
+of the merges of one partition's parts into another's, f as S C S^-1
+from the s matrix S and the conjugation of partitions C.
+``_inverse_matrix`` goes back, by Hall duality and in ints: S^-1 by the
+one forward substitution, S^-T S^-1 for h, S^-T C S^-1 for e, and for p
+the matrix [h_mu] p_lambda, which is z_lambda times [p_lambda] m_mu.
 
-The M-basis route, ``generator`` built from ``quasi_shuffle`` and
-``kostka_bruteforce``, is kept here as the oracle for every column; the
-matrices themselves never take it.
+``contract_to_m``, ``expand_in_basis`` and ``qsym.omega`` on the m basis
+(omega m_lambda = f_lambda, and f is not a basis of ``QSymElement``)
+multiply by these matrices in one pass over the nonzero entries that
+``_columns`` holds column by column, as ``character.frobenius_image``
+does.  A p expansion divides by z_lambda only at the output, and
+imports ``fractions`` only when a coefficient leaves a remainder; an e,
+h or s expansion holds ints and never imports it.  ``_solve_in_basis``
+solves against ``_transition_matrix`` with Fractions for the two
+character readouts, and its ``_solve_exact`` is the oracle for the
+inverses.
 
-Only an expansion into e, h, p or s, a character, or omega on the m
-basis imports this module, so an ``xi`` request or an M- or m-basis
-``xg`` request does not compile it.
+The M-basis route to the columns, ``oracles.generator``, is their other
+oracle; the matrices never take it.  Only an expansion into e, h, p or
+s, a character, or omega on the m basis imports this module, so an
+``xi`` request or an M- or m-basis ``xg`` request does not compile it.
 """
 
 from __future__ import annotations
@@ -31,87 +36,8 @@ from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
 
-from .base import (
-    Composition,
-    DegreeMismatchError,
-    Partition,
-    compositions,
-    partitions,
-    rearrangements,
-)
-from .qsym import SYM_BASES, QSymElement, _add_scaled, _freeze, quasi_shuffle
-
-
-def m_partition_to_qsym(lam: Partition) -> QSymElement:
-    """The monomial symmetric function m_lambda as a sum of M_alpha."""
-    return QSymElement(lam.n, "M", dict.fromkeys(rearrangements(lam), 1))
-
-
-@lru_cache(maxsize=None)
-def kostka_bruteforce(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard Young tableaux of shape lam and content mu,
-    by filling the cells one at a time; the oracle for ``kostka``."""
-    if lam.n != mu.n:
-        raise DegreeMismatchError("shape and content must have the same size")
-    shape = lam.parts
-    content = list(mu.parts)
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-
-    def fill(idx, rows, remaining):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])          # rows weakly increase
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)      # columns strictly increase
-        for v in range(lo, len(content) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            rows[r].append(v)
-            remaining[v - 1] -= 1
-            total += fill(idx + 1, rows, remaining)
-            remaining[v - 1] += 1
-            rows[r].pop()
-        return total
-
-    return fill(0, [[] for _ in shape], content)
-
-
-@lru_cache(maxsize=None)
-def _one_part_generator(kind: str, k: int) -> QSymElement:
-    if kind == "p":
-        return QSymElement.monomial(Composition((k,)), "M")
-    if kind == "e":
-        return QSymElement.monomial(Composition((1,) * k), "M")
-    if kind == "h":
-        return QSymElement(k, "M", dict.fromkeys(compositions(k), 1))
-    raise ValueError(f"no one-part generator of kind {kind!r}")
-
-
-@lru_cache(maxsize=None)
-def generator(kind: str, lam: Partition) -> QSymElement:
-    """e/h/p/s_lambda expanded in the M basis; the oracle for the columns
-    of ``_transition_matrix``.
-
-    e, h, p are quasi-shuffle products of their one-row pieces; s_lambda
-    is the Kostka expansion over semistandard tableaux.
-    """
-    if kind == "s":
-        terms = {}
-        for mu in partitions(lam.n):
-            k = kostka_bruteforce(lam, mu)
-            if k:
-                terms.update(dict.fromkeys(m_partition_to_qsym(mu).terms, k))
-        return QSymElement(lam.n, "M", terms)
-    if kind not in ("e", "h", "p"):
-        raise ValueError(f"unknown generator kind: {kind!r}")
-    out = QSymElement(0, "M", {Composition(()): 1})
-    for part in lam.parts:
-        out = quasi_shuffle(out, _one_part_generator(kind, part))
-    return out
+from .base import DegreeMismatchError, Partition, partitions, z_of
+from .qsym import SYM_BASES, QSymElement, _add_scaled, _freeze
 
 
 def _add_strip(shape: tuple, r: int):
@@ -174,6 +100,19 @@ def _conjugate(parts: tuple) -> tuple:
     return tuple(sum(1 for p in parts if p > i) for i in range(parts[0] if parts else 0))
 
 
+def _conjugated(keys: list, rows) -> list:
+    """C rows, with C the conjugation of the partitions keys: row i is the
+    row of rows at the conjugate of keys[i]."""
+    index = {lam: i for i, lam in enumerate(keys)}
+    return [rows[index[_conjugate(lam)]] for lam in keys]
+
+
+def _product(a, b) -> tuple:
+    """The product of two int matrices given by rows, as tuples."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
+
+
 @lru_cache(maxsize=None)
 def _transition_matrix(n: int, target: str):
     """(partitions of n in reverse lexicographic order, matrix), with
@@ -184,10 +123,10 @@ def _transition_matrix(n: int, target: str):
     the merges of lam_j's parts into lam_i's.
 
     f: omega s_lam = s_{lam'} and omega m_lam = f_lam, so the f matrix is
-    S C S^-1 in ints, with S the s matrix (lower unitriangular in this
-    order), C the conjugation of partitions and S^-1 by forward
-    substitution.  It squares to the identity; the M-basis ``omega`` of
-    ``m_partition_to_qsym(lam_j)`` is the oracle for its column j.
+    S C S^-1 in ints, with S the s matrix, C the conjugation of partitions
+    and S^-1 from ``_inverse_matrix``.  It squares to the identity; the
+    M-basis ``omega`` of ``oracles.m_partition_to_qsym(lam_j)`` is the
+    oracle for its column j.
     """
     if target not in ("e", "f", "h", "p", "s"):
         raise ValueError(f"no transition matrix to the {target!r} basis")
@@ -197,18 +136,7 @@ def _transition_matrix(n: int, target: str):
         return parts, tuple(tuple(_merges(lam, mu) for lam in keys) for mu in keys)
     if target == "f":
         s = _transition_matrix(n, "s")[1]
-        k = len(keys)
-        inv = [[0] * k for _ in range(k)]
-        for j in range(k):
-            inv[j][j] = 1
-            for i in range(j + 1, k):
-                row = s[i]
-                inv[i][j] = -sum(row[l] * inv[l][j] for l in range(j, i))
-        index = {lam: i for i, lam in enumerate(keys)}
-        # row i of C S^-1 is the row of S^-1 at the conjugate of lam_i
-        flipped = [inv[index[_conjugate(lam)]] for lam in keys]
-        columns = tuple(zip(*flipped))
-        return parts, tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in s)
+        return parts, _product(s, _conjugated(keys, _inverse_matrix(n, "s")[1]))
     col = {mu: _kostka_column(mu) for mu in keys}
     if target == "s":
         return parts, tuple(tuple(col[mu].get(lam, 0) for lam in keys) for mu in keys)
@@ -219,11 +147,46 @@ def _transition_matrix(n: int, target: str):
     )
 
 
+@lru_cache(maxsize=None)
+def _inverse_matrix(n: int, target: str):
+    """(partitions of n in reverse lexicographic order, matrix), with
+    matrix[i][j] = [target_{lam_i}] m_{lam_j}, times z_{lam_i} for p: the
+    inverse of ``_transition_matrix(n, target)``, in ints, as tuples.
+
+    s: S^-1 by forward substitution, S being lower unitriangular in this
+    order.  Under the Hall inner product <h_lam, m_mu> = delta, so the m
+    basis has Gram matrix H^-1; H = S S^T and E = S C S^T give
+    H^-1 = S^-T S^-1 and E^-1 = S^-T C S^-1.  p: <p_lam, p_mu> = z_lam
+    delta, so z_lam [p_lam] m_mu = <p_lam, m_mu> = [h_mu] p_lam, the matrix
+    P^T H^-1 for the p matrix P, whose entries are ints (Newton's
+    identities).
+    """
+    if target not in ("e", "h", "p", "s"):
+        raise ValueError(f"no inverse matrix to the {target!r} basis")
+    parts = tuple(partitions(n))
+    if target == "p":
+        p = _transition_matrix(n, "p")[1]
+        return parts, _product(zip(*p), _inverse_matrix(n, "h")[1])
+    if target != "s":
+        inv = _inverse_matrix(n, "s")[1]
+        right = _conjugated([lam.parts for lam in parts], inv) if target == "e" else inv
+        return parts, _product(zip(*inv), right)
+    s = _transition_matrix(n, "s")[1]
+    k = len(parts)
+    inv = [[0] * k for _ in range(k)]
+    for j in range(k):
+        inv[j][j] = 1
+        for i in range(j + 1, k):
+            row = s[i]
+            inv[i][j] = -sum(row[l] * inv[l][j] for l in range(j, i))
+    return parts, tuple(map(tuple, inv))
+
+
 def _solve_exact(matrix, rhs):
     """Gaussian elimination with Fraction pivots. The rhs entries are
     scalars (ints or Fractions) or TPolys; the solution holds Fractions
-    for scalars and TPolys for TPolys."""
-    from fractions import Fraction  # only here, so m- and M-basis requests skip it
+    for scalars and TPolys for TPolys.  The oracle for ``_inverse_matrix``."""
+    from fractions import Fraction  # only here, so no expansion request loads it
 
     k = len(matrix)
     a = [[Fraction(matrix[i][j]) for j in range(k)] for i in range(k)]
@@ -251,39 +214,58 @@ def _solve_in_basis(n: int, basis: str, rhs: list) -> list:
     return _solve_exact(_transition_matrix(n, basis)[1], rhs)
 
 
-def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
-    """Rewrite an m-basis element exactly in the e, h, p or s basis."""
-    if target not in SYM_BASES:
-        raise ValueError(f"expand_in_basis: unknown target basis {target!r}")
-    if x.basis != "m":
-        raise ValueError(f"expand_in_basis expects an m-basis input, not {x.basis!r}")
-    if target == "m":
-        return x
-    parts = tuple(partitions(x.n))
-    sol = _solve_in_basis(x.n, target, [x.coeff(lam) for lam in parts])
-    return QSymElement(x.n, target, dict(zip(parts, sol)))
+def _quotient(total, d: int):
+    """total / d exactly: an int when d divides it, else a Fraction, so
+    only a remainder imports ``fractions``."""
+    q, r = divmod(total, d)
+    if not r:
+        return q
+    from fractions import Fraction  # only a remainder gets here
+
+    return Fraction(total, d)
 
 
 @lru_cache(maxsize=None)
-def _columns(n: int, basis: str) -> Mapping:
+def _columns(n: int, basis: str, inverse: bool) -> Mapping:
     """lam_j -> the pairs (lam_i, entry) of the nonzero entries of column
-    j of ``_transition_matrix(n, basis)``."""
-    parts, rows = _transition_matrix(n, basis)
+    j of ``_transition_matrix(n, basis)``, or of ``_inverse_matrix(n,
+    basis)`` if inverse.  Every caller passes all three arguments, so
+    each matrix has one cache key."""
+    parts, rows = (_inverse_matrix if inverse else _transition_matrix)(n, basis)
     return MappingProxyType({
         lam: tuple((mu, row[j]) for mu, row in zip(parts, rows) if row[j])
         for j, lam in enumerate(parts)
     })
 
 
-def _apply(x: QSymElement, matrix: str, basis: str) -> QSymElement:
-    """sum_j x[lam_j] * (column j of ``_transition_matrix(n, matrix)``),
-    in ``basis``: one pass over the nonzero entries ``_columns`` holds."""
-    columns = _columns(x.n, matrix)
+def _apply(x: QSymElement, matrix: str, basis: str, inverse: bool = False) -> QSymElement:
+    """sum_j x[lam_j] * (column j of the matrix ``_columns`` names), in
+    ``basis``: one pass over its nonzero entries.  The p inverse holds
+    z_mu [p_mu] m_lam, so its sums are divided by z_mu here, once."""
+    columns = _columns(x.n, matrix, inverse)
     acc = {}
     for lam, c in x.terms.items():
         for mu, v in columns[lam]:
             _add_scaled(acc, mu, c, v)
+    if inverse and matrix == "p":
+        for mu, slot in acc.items():
+            z = z_of(mu)
+            for e, total in slot.items():
+                slot[e] = _quotient(total, z)
     return _freeze(x.n, basis, acc)
+
+
+def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
+    """Rewrite an m-basis element exactly in the e, h, p or s basis, by
+    the cached ``_inverse_matrix``: an int input gives int coefficients in
+    e, h and s."""
+    if target not in SYM_BASES:
+        raise ValueError(f"expand_in_basis: unknown target basis {target!r}")
+    if x.basis != "m":
+        raise ValueError(f"expand_in_basis expects an m-basis input, not {x.basis!r}")
+    if target == "m":
+        return x
+    return _apply(x, target, target, inverse=True)
 
 
 def contract_to_m(x: QSymElement) -> QSymElement:

@@ -55,10 +55,10 @@ from .hessenberg import (
     incomparability_graph,
     weight,
 )
+from .oracles import generator
 from .pathcovers import OrderedPathCover, _complement_of, cover_paths, ordered_path_covers
 from .pathcovers import verify_reciprocity
 from .qsym import QSymElement, f_to_m, is_symmetric, omega
-from .sym import generator
 
 
 @guarded

@@ -14,17 +14,18 @@ from hypothesis import given, settings, strategies as st
 
 from hesschrom.base import Composition, TPoly, compositions, partitions, z_of
 from hesschrom.character import dot_character, frobenius_image
-from hesschrom.chromatic import chromatic_qsym, stable_ordered_partitions
+from hesschrom.chromatic import chromatic_qsym
 from hesschrom.hessenberg import (
     Digraph,
     enumerate_hessenberg,
     incomparability_graph,
     weight,
 )
+from hesschrom.oracles import generator, quasi_shuffle, stable_ordered_partitions
 from hesschrom.pathcovers import ordered_path_covers, sequencing_stat
 from hesschrom.pathqsym import path_qsym
-from hesschrom.qsym import QSymElement, f_to_m, m_to_f, omega, quasi_shuffle, to_m_basis
-from hesschrom.sym import contract_to_m, generator, kostka
+from hesschrom.qsym import QSymElement, f_to_m, m_to_f, omega, to_m_basis
+from hesschrom.sym import contract_to_m, kostka
 
 
 # --- oracles: the sum-by-+ producers ------------------------------------

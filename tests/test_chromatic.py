@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from hesschrom.base import Composition, TPoly
-from hesschrom.chromatic import chromatic_qsym, stable_ordered_partitions
+from hesschrom.chromatic import chromatic_qsym
 from hesschrom.hessenberg import (
     Graph,
     HessenbergFunction,
     enumerate_hessenberg,
     incomparability_graph,
 )
+from hesschrom.oracles import stable_ordered_partitions
 from hesschrom.qsym import QSymElement, is_symmetric
 
 

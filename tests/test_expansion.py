@@ -9,8 +9,8 @@ import pytest
 from hesschrom.base import Composition, DegreeMismatchError, FrozenInstanceError, Partition, TPoly
 from hesschrom.character import omega_x_of, x_of
 from hesschrom.hessenberg import HessenbergFunction
+from hesschrom.oracles import generator
 from hesschrom.qsym import QSymElement
-from hesschrom.sym import generator
 
 
 @pytest.mark.parametrize("basis", ["M", "F", "m", "e", "h", "p", "s"])

@@ -1,9 +1,10 @@
 """Pipeline independence, enforced on the import graph.
 
 The tableau pipeline (``betti``) and the qsym pipeline (``chromatic``,
-``qsym``, ``sym``, ``pathqsym``, ``pathcovers``, ``character``) share no
-code beyond ``base`` and ``hessenberg``; only ``verify`` compares them.
-Their agreement is then evidence, not tautology.
+``qsym``, ``sym``, ``pathqsym``, ``pathcovers``, ``character`` and the
+``oracles`` that check them) share no code beyond ``base`` and
+``hessenberg``; only ``verify`` compares them.  Their agreement is then
+evidence, not tautology.
 
 A CLI request imports only its own pipeline, so a cold process pays
 for nothing else; the subprocess tests below check what each subcommand
@@ -21,7 +22,7 @@ import pytest
 import hesschrom
 
 PACKAGE = Path(hesschrom.__file__).parent
-QSYM_PIPELINE = ("chromatic", "qsym", "sym", "pathqsym", "pathcovers", "character")
+QSYM_PIPELINE = ("chromatic", "qsym", "sym", "pathqsym", "pathcovers", "character", "oracles")
 
 
 def imported_names(path, module_level=False):
@@ -120,7 +121,8 @@ def test_no_module_imports_dataclasses():
 
 
 def test_base_does_not_import_fractions():
-    """Only a basis solve makes a Fraction; ``base`` is imported by all."""
+    """Only a p expansion with a remainder, a character solve or an
+    oracle makes a Fraction; ``base`` is imported by all."""
     assert not {n for n in imported_names(PACKAGE / "base.py") if n.split(".")[0] == "fractions"}
 
 
@@ -138,6 +140,16 @@ def test_path_dp_imports_only_what_an_xi_request_runs():
     neither."""
     assert imported_modules(PACKAGE / "pathqsym.py") == {"base", "hessenberg", "qsym"}
     assert imported_modules(PACKAGE / "qsym.py", module_level=True) == {"base"}
+
+
+def test_only_verify_and_exports_import_the_oracles():
+    """The brute-force oracles are off every request's path: no module a
+    CLI request can load imports them."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("verify", "_exports"):
+            assert "oracles" not in imported_modules(path), path.name
+    assert "oracles" in imported_modules(PACKAGE / "verify.py", module_level=True)
+    assert "oracles" in imported_modules(PACKAGE / "_exports.py", module_level=True)
 
 
 def test_pipelines_do_not_import_verify():
@@ -174,12 +186,16 @@ def modules_after(argv):
 
 
 TABLEAU_ONLY = {
-    "chromatic", "qsym", "sym", "pathqsym", "pathcovers", "character", "verify", "_exports"
+    "chromatic", "qsym", "sym", "pathqsym", "pathcovers", "character", "oracles", "verify",
+    "_exports",
 }
-# Standard-library modules no request needs: the value types are not
-# dataclasses, only a basis solve or a character makes a Fraction, and the
-# CLI reads argv without argparse (and the gettext and locale it loads).
+# Standard-library modules no request below needs: the value types are not
+# dataclasses, only a p expansion with a remainder or a character makes a
+# Fraction, and the CLI reads argv without argparse (and the gettext and
+# locale it loads).
 NOT_NEEDED = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale"}
+# What an xg or omega-xg request never loads, in any basis.
+NOT_XG = {"pathqsym", "pathcovers", "character", "betti", "oracles", "verify", "_exports"}
 
 
 @pytest.mark.parametrize(
@@ -190,20 +206,17 @@ NOT_NEEDED = {"dataclasses", "inspect", "fractions", "decimal", "argparse", "get
         (
             ["xi", "--edges", "1>2,2>3", "--vertices", "4"],
             {"pathqsym", "qsym"},
-            {"chromatic", "sym", "pathcovers", "character", "betti", "verify", "_exports"},
+            {"chromatic", "sym", "pathcovers", "character", "betti", "oracles", "verify",
+             "_exports"},
         ),
-        (
-            ["xg", "--m", "2,3,3", "--basis", "M"],
-            {"chromatic", "qsym"},
-            {"sym", "pathqsym", "pathcovers", "betti", "verify", "_exports"},
-        ),
-        (
-            ["omega-xg", "--m", "2,3,3", "--basis", "m"],
-            {"chromatic", "qsym"},
-            {"sym", "pathqsym", "pathcovers", "betti", "verify", "_exports"},
-        ),
+        (["xg", "--m", "2,3,3", "--basis", "M"], {"chromatic", "qsym"}, NOT_XG | {"sym"}),
+        (["omega-xg", "--m", "2,3,3", "--basis", "m"], {"chromatic", "qsym"}, NOT_XG | {"sym"}),
+        (["xg", "--m", "2,3,3", "--basis", "e"], {"chromatic", "qsym", "sym"}, NOT_XG),
+        (["xg", "--m", "2,3,4,4", "--basis", "h"], {"chromatic", "qsym", "sym"}, NOT_XG),
+        (["xg", "--m", "2,3,3", "--basis", "s"], {"chromatic", "qsym", "sym"}, NOT_XG),
+        (["omega-xg", "--m", "3,3,4,5", "--basis", "e"], {"chromatic", "qsym", "sym"}, NOT_XG),
     ],
-    ids=["betti", "enumerate", "xi", "xg", "omega-xg"],
+    ids=["betti", "enumerate", "xi", "xg", "omega-xg", "xg-e", "xg-h", "xg-s", "omega-xg-e"],
 )
 def test_cli_request_imports_only_its_pipeline(argv, used, unused):
     loaded, stdlib = modules_after(argv)
@@ -218,11 +231,12 @@ def test_xi_request_loads_only_the_path_dp():
 
 
 def test_basis_solve_loads_fractions():
-    """The other side of ``NOT_NEEDED``: an e-basis request solves and
-    needs ``fractions`` and the partition-space layer ``sym``, so the
-    subprocess check sees both kinds of module."""
-    loaded, stdlib = modules_after(["xg", "--m", "2,3,3", "--basis", "e"])
+    """The other side of ``NOT_NEEDED``: a p-basis request divides by
+    z_lambda, leaves remainders and needs ``fractions`` and the
+    partition-space layer ``sym``, so the subprocess check sees both kinds
+    of module."""
+    loaded, stdlib = modules_after(["xg", "--m", "2,3,3", "--basis", "p"])
     assert {"chromatic", "qsym", "sym"} <= loaded
-    assert not loaded & {"pathqsym", "pathcovers", "character", "betti", "verify", "_exports"}
+    assert not loaded & NOT_XG
     assert {"fractions", "decimal"} <= stdlib
     assert not stdlib & {"dataclasses", "inspect"}

@@ -2,12 +2,13 @@ import itertools
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hesschrom import qsym, sym
+from hesschrom import oracles, qsym, sym
 from hesschrom.base import (
     Composition,
     DegreeMismatchError,
@@ -16,8 +17,12 @@ from hesschrom.base import (
     compositions,
     partitions,
     rearrangements,
+    z_of,
 )
+from hesschrom.character import omega_x_of, x_of
 from hesschrom.cli import run
+from hesschrom.hessenberg import HessenbergFunction, enumerate_hessenberg
+from hesschrom.oracles import generator, kostka_bruteforce, m_partition_to_qsym, quasi_shuffle
 from hesschrom.qsym import (
     NotSymmetricError,
     QSymElement,
@@ -25,17 +30,9 @@ from hesschrom.qsym import (
     is_symmetric,
     m_to_f,
     omega,
-    quasi_shuffle,
     to_m_basis,
 )
-from hesschrom.sym import (
-    contract_to_m,
-    expand_in_basis,
-    generator,
-    kostka,
-    kostka_bruteforce,
-    m_partition_to_qsym,
-)
+from hesschrom.sym import contract_to_m, expand_in_basis, kostka
 
 
 def M(*parts):
@@ -256,6 +253,23 @@ class TestExpandInBasis:
             expanded = expand_in_basis(x, target)
             assert contract_to_m(expanded) == x
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_integer_expansions_hold_ints(self, n):
+        """The e, h and s inverses are integer matrices, so X_{G(m)} reads
+        off in ints there: no Fraction, not even of denominator 1."""
+        for m in enumerate_hessenberg(n):
+            for target in ("e", "h", "s"):
+                for poly in expand_in_basis(x_of(m), target).terms.values():
+                    assert all(type(c) is int for c in poly.terms.values()), (m, target)
+
+    def test_p_divides_by_z_at_the_output(self):
+        """p keeps an int where z_lambda divides, and the exact Fraction
+        elsewhere: [p] of X_{G(2,3)} has 1/3, -1/2 and 1/6."""
+        in_p = expand_in_basis(x_of(HessenbergFunction(3, (2, 3))), "p")
+        values = [c for poly in in_p.terms.values() for c in poly.terms.values()]
+        assert {Fraction(1, 3), Fraction(-1, 2), Fraction(1, 6)} <= set(values)
+        assert all(type(c) is int or c.denominator != 1 for c in values)
+
 
 class TestTransitionMatrix:
     """The partition-space matrices against the M-basis route they
@@ -270,18 +284,20 @@ class TestTransitionMatrix:
             column = to_m_basis(generator(target, lam))
             assert [row[j] for row in matrix] == [column.coeff(mu).coeff(0) for mu in parts]
 
-    @pytest.mark.parametrize("matrix", ["e", "f", "h", "p", "s"])
+    @pytest.mark.parametrize("matrix", ["e", "f", "h", "p", "s", "e^-1", "h^-1", "p^-1", "s^-1"])
     @pytest.mark.parametrize("n", range(0, 8))
     def test_column_map_holds_the_nonzero_columns(self, matrix, n):
         """``_apply`` reads ``_columns``: each partition's column of the
-        cached matrix, zeros left out, rows in the matrix's order."""
-        parts, rows = sym._transition_matrix(n, matrix)
-        columns = sym._columns(n, matrix)
+        cached matrix or its inverse, zeros left out, rows in the matrix's
+        order."""
+        inverse, matrix = matrix.endswith("^-1"), matrix.removesuffix("^-1")
+        parts, rows = (sym._inverse_matrix if inverse else sym._transition_matrix)(n, matrix)
+        columns = sym._columns(n, matrix, inverse)
         assert list(columns) == list(parts)
         for j, lam in enumerate(parts):
             assert columns[lam] == tuple((mu, row[j]) for mu, row in zip(parts, rows) if row[j])
             assert all(v for _, v in columns[lam])
-        assert sym._columns(n, matrix) is columns
+        assert sym._columns(n, matrix, inverse) is columns
         with pytest.raises(TypeError):
             columns[parts[0]] = ()
 
@@ -310,6 +326,38 @@ class TestTransitionMatrix:
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_n5.json").read_text())
 
 
+def solved(x: QSymElement, target: str) -> QSymElement:
+    """``expand_in_basis``'s oracle: the Fraction elimination
+    ``_solve_exact`` against the transition matrix."""
+    parts = tuple(partitions(x.n))
+    rhs = [x.coeff(lam) for lam in parts]
+    solution = sym._solve_exact(sym._transition_matrix(x.n, target)[1], rhs)
+    return QSymElement(x.n, target, zip(parts, solution))
+
+
+@lru_cache(maxsize=None)
+def stacked_slices(n: int) -> tuple:
+    """x_of(m) and omega_x_of(m) for every m with n vertices; their
+    distinct t^d slices, as m-coefficient vectors, each numbered by its
+    first appearance; and the slices stacked into one right-hand side, the
+    slice numbered i at t^i, so that one solve reads them all off (the
+    solve acts on each exponent alone)."""
+    parts = tuple(partitions(n))
+    xs = [f(m) for m in enumerate_hessenberg(n) for f in (x_of, omega_x_of)]
+    index = {}
+    for x in xs:
+        for d in sorted({d for poly in x.terms.values() for d in poly.terms}):
+            index.setdefault(tuple(x.coeff(lam).coeff(d) for lam in parts), len(index))
+    rhs = [TPoly({i: v[j] for v, i in index.items()}) for j in range(len(parts))]
+    return xs, index, rhs
+
+
+coefficients = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-3, max_value=3, max_denominator=7)
+)
+laurent_polys = st.dictionaries(st.integers(-3, 3), coefficients, max_size=3).map(TPoly)
+
+
 class TestNoMBasisRoute:
     """Expansions and contractions build their matrices in partition
     space: they still work with the M-basis generators disabled."""
@@ -318,16 +366,30 @@ class TestNoMBasisRoute:
     def refuse(*args, **kwargs):
         raise AssertionError("the M-basis route was called")
 
-    def refuse_in_qsym_and_sym(self, monkeypatch, names):
+    def refuse_where_defined(self, monkeypatch, names):
+        """Refuse each name in the module that defines it.  A name that no
+        module defines fails, so an oracle that moves or is renamed cannot
+        leave its route on unnoticed."""
         for name in names:
-            for module in (qsym, sym):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, self.refuse)
+            homes = [
+                module for module in (oracles, qsym, sym)
+                if getattr(vars(module).get(name), "__module__", None) == module.__name__
+            ]
+            assert homes, f"no module defines {name}"
+            for module in homes:
+                monkeypatch.setattr(module, name, self.refuse)
 
     @pytest.fixture
     def m_route_off(self, monkeypatch):
-        self.refuse_in_qsym_and_sym(monkeypatch, ("generator", "quasi_shuffle", "kostka_bruteforce"))
-        sym._transition_matrix.cache_clear()
+        self.refuse_where_defined(monkeypatch, ("generator", "quasi_shuffle", "kostka_bruteforce"))
+        for cached in (sym._transition_matrix, sym._inverse_matrix, sym._columns):
+            cached.cache_clear()
+
+    def test_a_name_no_module_defines_is_an_error(self, monkeypatch):
+        with pytest.raises(AssertionError, match="no module defines nope"):
+            self.refuse_where_defined(monkeypatch, ("nope",))
+        with pytest.raises(AssertionError, match="no module defines partitions"):
+            self.refuse_where_defined(monkeypatch, ("partitions",))  # sym imports it
 
     @pytest.fixture
     def omega_route_off(self, m_route_off, monkeypatch):
@@ -340,9 +402,10 @@ class TestNoMBasisRoute:
                 self.refuse()
             return real_omega(x)
 
-        self.refuse_in_qsym_and_sym(monkeypatch, ("to_m_basis", "m_partition_to_qsym"))
+        self.refuse_where_defined(monkeypatch, ("to_m_basis", "m_partition_to_qsym"))
         monkeypatch.setattr(qsym, "omega", m_basis_omega_only)
-        sym._transition_matrix.cache_clear()
+        for cached in (sym._transition_matrix, sym._inverse_matrix, sym._columns):
+            cached.cache_clear()
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_round_trip(self, m_route_off, n):
@@ -350,6 +413,58 @@ class TestNoMBasisRoute:
             for lam in partitions(n):
                 x = QSymElement(n, target, {lam: TPoly({0: 2, 1: Fraction(-1, 3)})})
                 assert expand_in_basis(contract_to_m(x), target) == x
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_inverse_times_forward_is_the_identity(self, m_route_off, n):
+        """Each inverse is an int matrix whose product with its forward
+        matrix is the identity, and for p the diagonal of the z_lambda."""
+        parts = tuple(partitions(n))
+        k = len(parts)
+        for target in ("e", "h", "p", "s"):
+            got, inverse = sym._inverse_matrix(n, target)
+            forward = sym._transition_matrix(n, target)[1]
+            assert got == parts
+            assert type(inverse) is tuple and all(type(row) is tuple for row in inverse)
+            assert all(type(v) is int for row in inverse for v in row)
+            scale = [z_of(lam) if target == "p" else 1 for lam in parts]
+            product = [
+                [sum(inverse[i][l] * forward[l][j] for l in range(k)) for j in range(k)]
+                for i in range(k)
+            ]
+            assert product == [[scale[i] if i == j else 0 for j in range(k)] for i in range(k)]
+
+    @pytest.mark.parametrize("target", ["e", "h", "p", "s"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_expansion_matches_the_solve(self, m_route_off, n, target):
+        """``expand_in_basis`` of x_of(m) and omega_x_of(m), for every m
+        with n vertices, equals ``_solve_exact`` on their t^d slices,
+        solved at once as ``stacked_slices`` stacks them."""
+        xs, index, rhs = stacked_slices(n)
+        parts = tuple(partitions(n))
+        solution = sym._solve_exact(sym._transition_matrix(n, target)[1], rhs)
+        for x in xs:
+            want = {}
+            for d in {d for poly in x.terms.values() for d in poly.terms}:
+                i = index[tuple(x.coeff(lam).coeff(d) for lam in parts)]
+                for lam, poly in zip(parts, solution):
+                    want.setdefault(lam, {})[d] = poly.coeff(i)
+            want = QSymElement(n, target, {lam: TPoly(t) for lam, t in want.items()})
+            assert expand_in_basis(x, target) == want
+        assert expand_in_basis(xs[-1], target) == solved(xs[-1], target)
+
+    # the fixture's refusals hold for every example, and nothing resets them
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.data())
+    def test_expansion_matches_the_solve_at_n8(self, m_route_off, data):
+        """Rational and negative-exponent coefficients, at n = 8."""
+        parts = list(partitions(8))
+        keys = data.draw(st.lists(st.sampled_from(parts), min_size=1, max_size=6))
+        x = QSymElement(8, "m", [(lam, data.draw(laurent_polys)) for lam in keys])
+        for target in ("e", "h", "p", "s"):
+            assert expand_in_basis(x, target) == solved(x, target)
+            assert contract_to_m(expand_in_basis(x, target)) == x
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_omega_matrix(self, omega_route_off, n):
@@ -539,3 +654,7 @@ class TestBasisValidation:
     def test_no_transition_matrix(self, target):
         with pytest.raises(ValueError, match=f"'{target}'"):
             sym._transition_matrix(3, target)
+        with pytest.raises(ValueError, match=f"no inverse matrix to the '{target}'"):
+            sym._inverse_matrix(3, target)
+        with pytest.raises(ValueError, match="no inverse matrix to the 'f'"):
+            sym._inverse_matrix(3, "f")

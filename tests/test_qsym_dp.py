@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesschrom.base import BoundExceededError, Composition, TPoly
-from hesschrom.chromatic import chromatic_qsym, chromatic_qsym_bruteforce
+from hesschrom.chromatic import chromatic_qsym
 from hesschrom.hessenberg import (
     Digraph,
     Graph,
@@ -24,6 +24,7 @@ from hesschrom.hessenberg import (
     enumerate_hessenberg,
     incomparability_graph,
 )
+from hesschrom.oracles import chromatic_qsym_bruteforce
 from hesschrom.pathcovers import path_qsym_bruteforce, sequencing_stat
 from hesschrom.pathqsym import path_qsym
 from hesschrom.qsym import QSymElement
