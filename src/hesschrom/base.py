@@ -64,16 +64,19 @@ _GUARD_DOC = """
 def guarded(fn):
     """Give fn the size guard.  The wrapper takes fn's arguments plus the
     keywords ``max_n`` (default ``DEFAULT_MAX_N``) and ``force`` (default
-    False), raises ``BoundExceededError`` if the size n of the first
-    argument (the int itself, or its ``n``) exceeds ``max_n`` and force is
-    off, and then calls fn with its own arguments only: an ``lru_cache``
-    under the guard is keyed on them alone, and the wrapper forwards its
-    ``cache_info`` and ``cache_clear``.  Callers inside the package pass
-    ``force=True`` once their own entry point has checked."""
+    False), raises ``TypeError`` if the first argument is neither an int
+    nor has an int ``n`` (a bool is neither), ``BoundExceededError`` if
+    that size n exceeds ``max_n`` and force is off, and then calls fn with
+    its own arguments only: an ``lru_cache`` under the guard is keyed on
+    them alone, and the wrapper forwards its ``cache_info`` and
+    ``cache_clear``.  Callers inside the package pass ``force=True`` once
+    their own entry point has checked."""
 
     @wraps(fn, assigned=WRAPPER_ASSIGNMENTS + ("cache_info", "cache_clear"))
     def run(arg, /, *args, max_n: int = DEFAULT_MAX_N, force: bool = False, **kwargs):
-        n = arg if isinstance(arg, int) else arg.n
+        n = arg if _is_number(arg) else getattr(arg, "n", None)
+        if not _is_number(n):
+            raise TypeError(f"{fn.__name__}: {arg!r} is neither an int nor has an int n")
         if not force and n > max_n:
             raise BoundExceededError(
                 f"size {n} exceeds the enumeration guard ({max_n}); "
@@ -460,7 +463,10 @@ class Partition(_Parts):
 
 
 def compositions(n: int):
-    """All compositions of n in lexicographic order of part sequences."""
+    """All compositions of n in lexicographic order of part sequences; a
+    bool or a non-int n raises ``TypeError`` at the call."""
+    if not _is_number(n):
+        raise TypeError(f"n={n!r} is not an int")
 
     def rec(k):
         if k == 0:
@@ -470,13 +476,15 @@ def compositions(n: int):
             for rest in rec(k - first):
                 yield (first,) + rest
 
-    for parts in rec(n):
-        yield Composition(parts)
+    return (Composition(parts) for parts in rec(n))
 
 
 def partitions(n: int):
     """All partitions of n in reverse lexicographic (descending) order: a
-    fresh iterator over one tuple of Partitions built once per n."""
+    fresh iterator over one tuple of Partitions built once per n.  A bool
+    or a non-int n raises ``TypeError``."""
+    if not _is_number(n):
+        raise TypeError(f"n={n!r} is not an int")
     return iter(_partitions(n, n))
 
 

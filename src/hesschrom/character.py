@@ -11,8 +11,9 @@ The readouts at degree d work on one vector, c_{d,lambda}: the t^d
 coefficients of ``omega_x_of(m)`` in ``partitions(n)`` order, which
 ``fixed_space_dims`` alone reads.  ``dot_character`` and
 ``irreducible_multiplicities`` solve its values against the p and s
-matrices, one solve each, with no element built in between, and raise
-``IntegralityError`` on a value that is not an int.
+matrices of ``sym._matrix`` with ``sym._solve_exact``, one solve each,
+with no element built in between, and raise ``IntegralityError`` on a
+value that is not an int.
 ``frobenius_image`` goes back through the p matrix in ints and divides
 by n! once at the end.  ``e_positivity_report`` reads the e expansion,
 an integer matrix times ``x_of(m)``, so its values are ints by
@@ -38,7 +39,7 @@ from .base import (
 from .chromatic import chromatic_qsym
 from .hessenberg import HessenbergFunction, incomparability_graph, weight
 from .qsym import QSymElement, omega, to_m_basis
-from .sym import _columns, _quotient, _solve_in_basis, expand_in_basis
+from .sym import _columns, _matrix, _quotient, _solve_exact, expand_in_basis
 
 
 class IntegralityError(ArithmeticError):
@@ -110,7 +111,7 @@ def dot_character(m: HessenbergFunction, d: int) -> ClassFunction:
     """Character values on cycle types: chi(mu) = z_mu * [p_mu] f, where
     f is the t^d slice of omega X_{G(m)}(t)."""
     dims = fixed_space_dims(m, d, force=True)
-    in_p = _solve_in_basis(m.n, "p", list(dims.values()))
+    in_p = _solve_exact(_matrix(m.n, "p"), list(dims.values()))
     values = tuple(
         (mu, _as_int(z_of(mu) * c, "chi({})", mu)) for mu, c in zip(dims, in_p)
     )
@@ -126,7 +127,7 @@ def frobenius_image(chi: ClassFunction) -> QSymElement:
     chi is a character. A class function that is not one may leave a
     remainder, and that coefficient is the exact Fraction."""
     order = factorial(chi.n)
-    columns = _columns(chi.n, "p", False)
+    columns = _columns(chi.n, "p")
     acc = {}
     for mu, v in chi.values:
         scale = v * (order // z_of(mu))
@@ -139,7 +140,7 @@ def frobenius_image(chi: ClassFunction) -> QSymElement:
 def irreducible_multiplicities(m: HessenbergFunction, d: int):
     """lambda -> coefficient of s_lambda in the t^d slice of omega X."""
     dims = fixed_space_dims(m, d, force=True)
-    in_s = _solve_in_basis(m.n, "s", list(dims.values()))
+    in_s = _solve_exact(_matrix(m.n, "s"), list(dims.values()))
     return {lam: _as_int(c, "mult({})", lam) for lam, c in zip(dims, in_s)}
 
 

@@ -8,8 +8,8 @@ imports them all, so a cold request pays for no module it does not use.
 One table, ``_COMMANDS``, gives each subcommand its help, handler and
 flags.  ``_parse`` reads argv by it, and renders help and usage errors from
 it, without argparse.  Each ``_cmd_*`` returns (exit code, JSON document,
-text lines), and ``run`` prints the document under ``--json`` and the lines
-otherwise.
+text lines), and ``run`` prints the document under ``--json``, the one
+branch that imports ``json``, and the lines otherwise.
 
 Exit codes: 0 success, help or suite passed, 1 verification failure, 2
 usage or validation error.
@@ -17,7 +17,6 @@ usage or validation error.
 
 from __future__ import annotations
 
-import json
 import sys
 from types import SimpleNamespace
 
@@ -243,6 +242,8 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
+        import json  # only --json prints a document
+
         print(json.dumps(doc))
     else:
         for line in lines:

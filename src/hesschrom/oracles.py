@@ -5,8 +5,8 @@ they check so that no CLI request compiles them: only ``verify``,
 - The M-basis route into the symmetric bases: ``generator`` builds e, h
   and p as ``quasi_shuffle`` products of their one-row pieces and s from
   ``kostka_bruteforce``, which fills tableaux cell by cell; it is the
-  oracle for every column of ``sym._transition_matrix``, which never
-  takes it.
+  oracle for every column of the e, h, p and s matrices of
+  ``sym._matrix``, which never takes it.
 - The sum over stable ordered partitions: ``chromatic_qsym_bruteforce``
   adds the statistic over every ``stable_ordered_partitions`` of G, the
   oracle for ``chromatic.chromatic_qsym``'s subset DP.  It builds its
@@ -112,7 +112,7 @@ def _one_part_generator(kind: str, k: int) -> QSymElement:
 @lru_cache(maxsize=None)
 def generator(kind: str, lam: Partition) -> QSymElement:
     """e/h/p/s_lambda expanded in the M basis; the oracle for the columns
-    of ``sym._transition_matrix``.
+    of ``sym._matrix(n, kind)``.
 
     e, h, p are quasi-shuffle products of their one-row pieces; s_lambda
     is the Kostka expansion over semistandard tableaux.

@@ -9,7 +9,7 @@ The omega involution on the M basis is implemented with the sign
 (-1)^(n - length(beta)), which is the one forced by omega F_alpha =
 F_{complement(alpha)} together with omega e = h; see the calibration
 suite. On the m basis omega m_lambda is the forgotten symmetric function
-f_lambda, so ``omega`` applies the matrix ``sym._transition_matrix(n, "f")``.
+f_lambda, so ``omega`` applies the matrix ``sym._matrix(n, "f")``.
 
 The partition-space layer (the e, h, p and s bases and Kostka numbers)
 lives in ``sym``, which imports this module; this module imports ``sym``

@@ -2,15 +2,13 @@
 over the partitions of n, and the exact integer matrices that change
 between the m basis and the e, h, p, s and forgotten f bases.
 
-Every change of basis goes through one matrix per (n, basis), built on
-partitions alone and cached as tuples of ints.  ``_transition_matrix``
-expands a basis in m: Kostka numbers by adding horizontal strips (Pieri),
-h and e as sums of products of two Kostka columns, p by a memoised count
-of the merges of one partition's parts into another's, f as S C S^-1
-from the s matrix S and the conjugation of partitions C.
-``_inverse_matrix`` goes back, by Hall duality and in ints: S^-1 by the
-one forward substitution, S^-T S^-1 for h, S^-T C S^-1 for e, and for p
-the matrix [h_mu] p_lambda, which is z_lambda times [p_lambda] m_mu.
+``_matrix(n, name)`` builds each matrix once per (n, name), cached as
+tuples of ints.  Three are built on partitions: S, the s basis in m,
+from Kostka numbers by adding horizontal strips (Pieri); P, the p basis
+in m, by a memoised count of the merges of one partition's parts into
+another's; and S^-1 by one forward substitution.  Every other name is
+one product of these and the conjugation of partitions C, by Hall
+duality.
 
 ``contract_to_m``, ``expand_in_basis`` and ``qsym.omega`` on the m basis
 (omega m_lambda = f_lambda, and f is not a basis of ``QSymElement``)
@@ -18,10 +16,9 @@ multiply by these matrices in one pass over the nonzero entries that
 ``_columns`` holds column by column, as ``character.frobenius_image``
 does.  A p expansion divides by z_lambda only at the output, and
 imports ``fractions`` only when a coefficient leaves a remainder; an e,
-h or s expansion holds ints and never imports it.  ``_solve_in_basis``
-solves against ``_transition_matrix`` with Fractions for the two
-character readouts, and its ``_solve_exact`` is the oracle for the
-inverses.
+h or s expansion holds ints and never imports it.  The two character
+readouts solve against the p and s matrices with ``_solve_exact``, the
+Fraction elimination that is also the oracle for the inverses.
 
 The M-basis route to the columns, ``oracles.generator``, is their other
 oracle; the matrices never take it.  Only an expansion into e, h, p or
@@ -114,78 +111,59 @@ def _product(a, b) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _transition_matrix(n: int, target: str):
-    """(partitions of n in reverse lexicographic order, matrix), with
-    matrix[i][j] = [m_{lam_i}] target_{lam_j}, all as tuples.
+def _matrix(n: int, name: str) -> tuple:
+    """The rows, as tuples of ints, of the matrix name over the partitions
+    of n in reverse lexicographic order.  For a basis b of e, f, h, p and
+    s, row i column j holds [m_{lam_i}] b_{lam_j}; for b^-1, with b of e,
+    h, p and s, it holds the inverse [b_{lam_i}] m_{lam_j}, times z_{lam_i}
+    for p.
 
-    s is the Kostka matrix; h_mu = sum_lam K_{lam,mu} s_lam and
-    e_mu = sum_lam K_{lam',mu} s_lam multiply two of its columns; p counts
-    the merges of lam_j's parts into lam_i's.
-
-    f: omega s_lam = s_{lam'} and omega m_lam = f_lam, so the f matrix is
-    S C S^-1 in ints, with S the s matrix, C the conjugation of partitions
-    and S^-1 from ``_inverse_matrix``.  It squares to the identity; the
-    M-basis ``omega`` of ``oracles.m_partition_to_qsym(lam_j)`` is the
-    oracle for its column j.
+    S, P and S^-1 are built on partitions (S is lower unitriangular in
+    this order).  The rest is Hall duality (Macdonald I §§4, 6), with C the
+    conjugation of partitions: h_mu = sum_lam K_{lam,mu} s_lam and e_mu =
+    sum_lam K_{lam',mu} s_lam give H = S S^T and E = S C S^T; omega s_lam =
+    s_lam' and omega m_lam = f_lam give f = S C S^-1, an involution.  As
+    <h_lam, m_mu> = delta, the m basis has Gram matrix H^-1 = S^-T S^-1,
+    and E^-1 = S^-T C S^-1.  As <p_lam, p_mu> = z_lam delta, z_lam [p_lam]
+    m_mu = <p_lam, m_mu> = [h_mu] p_lam, the matrix P^T H^-1, whose entries
+    are ints (Newton's identities).
     """
-    if target not in ("e", "f", "h", "p", "s"):
-        raise ValueError(f"no transition matrix to the {target!r} basis")
-    parts = tuple(partitions(n))
-    keys = [lam.parts for lam in parts]
-    if target == "p":
-        return parts, tuple(tuple(_merges(lam, mu) for lam in keys) for mu in keys)
-    if target == "f":
-        s = _transition_matrix(n, "s")[1]
-        return parts, _product(s, _conjugated(keys, _inverse_matrix(n, "s")[1]))
-    col = {mu: _kostka_column(mu) for mu in keys}
-    if target == "s":
-        return parts, tuple(tuple(col[mu].get(lam, 0) for lam in keys) for mu in keys)
-    flip = {nu: _conjugate(nu) if target == "e" else nu for nu in keys}
-    return parts, tuple(
-        tuple(sum(k * col[lam].get(flip[nu], 0) for nu, k in col[mu].items()) for lam in keys)
-        for mu in keys
-    )
-
-
-@lru_cache(maxsize=None)
-def _inverse_matrix(n: int, target: str):
-    """(partitions of n in reverse lexicographic order, matrix), with
-    matrix[i][j] = [target_{lam_i}] m_{lam_j}, times z_{lam_i} for p: the
-    inverse of ``_transition_matrix(n, target)``, in ints, as tuples.
-
-    s: S^-1 by forward substitution, S being lower unitriangular in this
-    order.  Under the Hall inner product <h_lam, m_mu> = delta, so the m
-    basis has Gram matrix H^-1; H = S S^T and E = S C S^T give
-    H^-1 = S^-T S^-1 and E^-1 = S^-T C S^-1.  p: <p_lam, p_mu> = z_lam
-    delta, so z_lam [p_lam] m_mu = <p_lam, m_mu> = [h_mu] p_lam, the matrix
-    P^T H^-1 for the p matrix P, whose entries are ints (Newton's
-    identities).
-    """
-    if target not in ("e", "h", "p", "s"):
-        raise ValueError(f"no inverse matrix to the {target!r} basis")
-    parts = tuple(partitions(n))
-    if target == "p":
-        p = _transition_matrix(n, "p")[1]
-        return parts, _product(zip(*p), _inverse_matrix(n, "h")[1])
-    if target != "s":
-        inv = _inverse_matrix(n, "s")[1]
-        right = _conjugated([lam.parts for lam in parts], inv) if target == "e" else inv
-        return parts, _product(zip(*inv), right)
-    s = _transition_matrix(n, "s")[1]
-    k = len(parts)
-    inv = [[0] * k for _ in range(k)]
-    for j in range(k):
-        inv[j][j] = 1
-        for i in range(j + 1, k):
-            row = s[i]
-            inv[i][j] = -sum(row[l] * inv[l][j] for l in range(j, i))
-    return parts, tuple(map(tuple, inv))
+    keys = [lam.parts for lam in partitions(n)]
+    if name == "s":
+        return tuple(tuple(col.get(lam, 0) for lam in keys) for col in map(_kostka_column, keys))
+    if name == "p":
+        return tuple(tuple(_merges(lam, mu) for lam in keys) for mu in keys)
+    if name == "p^-1":
+        return _product(zip(*_matrix(n, "p")), _matrix(n, "h^-1"))
+    s = _matrix(n, "s")
+    if name == "h":
+        return _product(s, zip(*s))
+    if name == "e":
+        return _product(s, _conjugated(keys, tuple(zip(*s))))
+    if name == "s^-1":
+        k = len(keys)
+        inv = [[0] * k for _ in range(k)]
+        for j in range(k):
+            inv[j][j] = 1
+            for i in range(j + 1, k):
+                row = s[i]
+                inv[i][j] = -sum(row[l] * inv[l][j] for l in range(j, i))
+        return tuple(map(tuple, inv))
+    inv = _matrix(n, "s^-1")
+    if name == "f":
+        return _product(s, _conjugated(keys, inv))
+    if name == "h^-1":
+        return _product(zip(*inv), inv)
+    if name == "e^-1":
+        return _product(zip(*inv), _conjugated(keys, inv))
+    raise ValueError(f"no matrix named {name!r}")
 
 
 def _solve_exact(matrix, rhs):
     """Gaussian elimination with Fraction pivots. The rhs entries are
     scalars (ints or Fractions) or TPolys; the solution holds Fractions
-    for scalars and TPolys for TPolys.  The oracle for ``_inverse_matrix``."""
+    for scalars and TPolys for TPolys.  The two character readouts solve
+    with it, and it is the oracle for the inverses."""
     from fractions import Fraction  # only here, so no expansion request loads it
 
     k = len(matrix)
@@ -206,14 +184,6 @@ def _solve_exact(matrix, rhs):
     return b
 
 
-def _solve_in_basis(n: int, basis: str, rhs: list) -> list:
-    """The coefficients, in ``partitions(n)`` order, in the e, h, p or s
-    basis of the degree-n symmetric function whose m-coefficients rhs
-    lists in the same order: ``_solve_exact`` against
-    ``_transition_matrix(n, basis)``."""
-    return _solve_exact(_transition_matrix(n, basis)[1], rhs)
-
-
 def _quotient(total, d: int):
     """total / d exactly: an int when d divides it, else a Fraction, so
     only a remainder imports ``fractions``."""
@@ -226,28 +196,27 @@ def _quotient(total, d: int):
 
 
 @lru_cache(maxsize=None)
-def _columns(n: int, basis: str, inverse: bool) -> Mapping:
+def _columns(n: int, name: str) -> Mapping:
     """lam_j -> the pairs (lam_i, entry) of the nonzero entries of column
-    j of ``_transition_matrix(n, basis)``, or of ``_inverse_matrix(n,
-    basis)`` if inverse.  Every caller passes all three arguments, so
-    each matrix has one cache key."""
-    parts, rows = (_inverse_matrix if inverse else _transition_matrix)(n, basis)
+    j of ``_matrix(n, name)``."""
+    parts = tuple(partitions(n))
+    rows = _matrix(n, name)
     return MappingProxyType({
         lam: tuple((mu, row[j]) for mu, row in zip(parts, rows) if row[j])
         for j, lam in enumerate(parts)
     })
 
 
-def _apply(x: QSymElement, matrix: str, basis: str, inverse: bool = False) -> QSymElement:
-    """sum_j x[lam_j] * (column j of the matrix ``_columns`` names), in
-    ``basis``: one pass over its nonzero entries.  The p inverse holds
-    z_mu [p_mu] m_lam, so its sums are divided by z_mu here, once."""
-    columns = _columns(x.n, matrix, inverse)
+def _apply(x: QSymElement, name: str, basis: str) -> QSymElement:
+    """sum_j x[lam_j] * (column j of ``_matrix(x.n, name)``), in basis: one
+    pass over its nonzero entries.  The p inverse holds z_mu [p_mu] m_lam,
+    so its sums are divided by z_mu here, once."""
+    columns = _columns(x.n, name)
     acc = {}
     for lam, c in x.terms.items():
         for mu, v in columns[lam]:
             _add_scaled(acc, mu, c, v)
-    if inverse and matrix == "p":
+    if name == "p^-1":
         for mu, slot in acc.items():
             z = z_of(mu)
             for e, total in slot.items():
@@ -257,20 +226,20 @@ def _apply(x: QSymElement, matrix: str, basis: str, inverse: bool = False) -> QS
 
 def expand_in_basis(x: QSymElement, target: str) -> QSymElement:
     """Rewrite an m-basis element exactly in the e, h, p or s basis, by
-    the cached ``_inverse_matrix``: an int input gives int coefficients in
-    e, h and s."""
+    the cached inverse matrix: an int input gives int coefficients in e,
+    h and s."""
     if target not in SYM_BASES:
         raise ValueError(f"expand_in_basis: unknown target basis {target!r}")
     if x.basis != "m":
         raise ValueError(f"expand_in_basis expects an m-basis input, not {x.basis!r}")
     if target == "m":
         return x
-    return _apply(x, target, target, inverse=True)
+    return _apply(x, target + "^-1", target)
 
 
 def contract_to_m(x: QSymElement) -> QSymElement:
     """Inverse of expand_in_basis: rewrite any symmetric basis back into m,
-    one pass over the cached columns of the transition matrix."""
+    one pass over the cached columns of its matrix."""
     if x.basis not in SYM_BASES:
         raise ValueError(f"contract_to_m expects a symmetric basis, not {x.basis!r}")
     if x.basis == "m":

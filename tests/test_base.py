@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,13 @@ class TestEnumeration:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
         for n, e in enumerate(expected):
             assert len(list(partitions(n))) == e
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_a_size_is_an_int(self, n):
+        """Refused at the call: compositions does not wait for a next()."""
+        for enumerate_ in (partitions, compositions):
+            with pytest.raises(TypeError, match=f"^n={re.escape(repr(n))} is not an int$"):
+                enumerate_(n)
 
     def test_partitions_gives_a_fresh_iterator_per_call(self):
         first = partitions(5)

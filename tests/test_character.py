@@ -102,7 +102,7 @@ class TestDotCharacter:
     )
     def test_a_non_integral_solve_names_the_partition(self, monkeypatch, readout, label):
         monkeypatch.setattr(
-            character, "_solve_in_basis", lambda n, basis, rhs: [Fraction(1, 7)] * len(rhs)
+            character, "_solve_exact", lambda matrix, rhs: [Fraction(1, 7)] * len(rhs)
         )
         with pytest.raises(IntegralityError) as info:
             readout(HessenbergFunction(3, (2, 3)), 1)
@@ -351,9 +351,9 @@ class TestOmegaMatrix:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_matrix_is_an_involution(self, n):
-        parts, matrix = sym._transition_matrix(n, "f")
-        assert parts == tuple(partitions(n))
-        k = len(parts)
+        matrix = sym._matrix(n, "f")
+        k = len(matrix)
+        assert k == len(tuple(partitions(n)))
         square = [
             [sum(matrix[i][j] * matrix[j][l] for j in range(k)) for l in range(k)]
             for i in range(k)
@@ -361,7 +361,7 @@ class TestOmegaMatrix:
         assert square == [[int(i == l) for l in range(k)] for i in range(k)]
 
     def test_cached_value_is_immutable(self):
-        parts, matrix = sym._transition_matrix(5, "f")
-        assert type(parts) is tuple and type(matrix) is tuple
+        matrix = sym._matrix(5, "f")
+        assert type(matrix) is tuple
         assert all(type(row) is tuple for row in matrix)
         assert all(type(v) is int for row in matrix for v in row)

@@ -5,6 +5,7 @@ name, so that importing one module does not import every pipeline."""
 import json
 import os
 import pydoc
+import re
 import subprocess
 import sys
 import types
@@ -79,7 +80,7 @@ def test_errors_of_public_functions_are_caught_by_their_public_names(monkeypatch
     else:
         pytest.fail("m_2 = 1 < 2 is not a Hessenberg function")
     monkeypatch.setattr(
-        character, "_solve_in_basis", lambda n, basis, rhs: [Fraction(1, 7)] * len(rhs)
+        character, "_solve_exact", lambda matrix, rhs: [Fraction(1, 7)] * len(rhs)
     )
     try:
         hesschrom.dot_character(HessenbergFunction(3, (2, 3)), 1)
@@ -204,6 +205,15 @@ def test_every_entry_point_keeps_the_one_size_guard(name, args):
     assert fn(*args, max_n=2, force=True) == fn(*args)
     text = pydoc.render_doc(fn, renderer=pydoc.plaintext)
     assert "max_n" in text and "force" in text
+
+
+@pytest.mark.parametrize("size", [2.0, "3", True, None])
+@pytest.mark.parametrize("name, args", GUARDED, ids=[name for name, _ in GUARDED])
+def test_the_size_guard_refuses_what_is_not_a_size(name, args, size):
+    """The first argument is an int or has an int n; a bool is neither."""
+    fn = getattr(hesschrom, name)
+    with pytest.raises(TypeError, match=rf"^{name}: {re.escape(repr(size))} is neither an int"):
+        fn(size, *args[1:])
 
 
 def test_guarded_table_lists_every_guarded_name():

@@ -225,6 +225,13 @@ def test_cli_request_imports_only_its_pipeline(argv, used, unused):
     assert not stdlib & NOT_NEEDED, sorted(stdlib & NOT_NEEDED)
 
 
+def test_a_text_request_does_not_load_json():
+    """Only ``--json`` prints a document, so only it imports ``json``."""
+    argv = ["betti", "--m", "2,3", "--lambda", "2,1"]
+    assert "json" not in modules_after(argv)[1]
+    assert "json" in modules_after(argv + ["--json"])[1]
+
+
 def test_xi_request_loads_only_the_path_dp():
     loaded, _ = modules_after(["xi", "--edges", "1>2,2>1,2>3", "--stat", "des"])
     assert loaded == {"base", "hessenberg", "pathqsym", "qsym"}

@@ -271,6 +271,19 @@ class TestExpandInBasis:
         assert all(type(c) is int or c.denominator != 1 for c in values)
 
 
+def kostka_products(n: int, target: str) -> tuple:
+    """The e or h matrix as sums of products of two Kostka columns, since
+    h_mu = sum_lam K_{lam,mu} s_lam and e_mu = sum_lam K_{lam',mu} s_lam:
+    the route ``sym._matrix`` replaced by S S^T and S C S^T."""
+    keys = [lam.parts for lam in partitions(n)]
+    col = {mu: sym._kostka_column(mu) for mu in keys}
+    flip = {nu: sym._conjugate(nu) if target == "e" else nu for nu in keys}
+    return tuple(
+        tuple(sum(k * col[lam].get(flip[nu], 0) for nu, k in col[mu].items()) for lam in keys)
+        for mu in keys
+    )
+
+
 class TestTransitionMatrix:
     """The partition-space matrices against the M-basis route they
     replaced, which stays as the oracle."""
@@ -278,26 +291,29 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("target", ["e", "h", "p", "s"])
     @pytest.mark.parametrize("n", range(0, 8))
     def test_columns_match_generators(self, target, n):
-        parts, matrix = sym._transition_matrix(n, target)
-        assert parts == tuple(partitions(n))
+        parts, matrix = tuple(partitions(n)), sym._matrix(n, target)
+        assert len(matrix) == len(parts)
         for j, lam in enumerate(parts):
             column = to_m_basis(generator(target, lam))
             assert [row[j] for row in matrix] == [column.coeff(mu).coeff(0) for mu in parts]
+
+    @pytest.mark.parametrize("target", ["e", "h"])
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_e_and_h_match_kostka_products(self, target, n):
+        assert sym._matrix(n, target) == kostka_products(n, target)
 
     @pytest.mark.parametrize("matrix", ["e", "f", "h", "p", "s", "e^-1", "h^-1", "p^-1", "s^-1"])
     @pytest.mark.parametrize("n", range(0, 8))
     def test_column_map_holds_the_nonzero_columns(self, matrix, n):
         """``_apply`` reads ``_columns``: each partition's column of the
-        cached matrix or its inverse, zeros left out, rows in the matrix's
-        order."""
-        inverse, matrix = matrix.endswith("^-1"), matrix.removesuffix("^-1")
-        parts, rows = (sym._inverse_matrix if inverse else sym._transition_matrix)(n, matrix)
-        columns = sym._columns(n, matrix, inverse)
+        cached matrix, zeros left out, rows in the matrix's order."""
+        parts, rows = tuple(partitions(n)), sym._matrix(n, matrix)
+        columns = sym._columns(n, matrix)
         assert list(columns) == list(parts)
         for j, lam in enumerate(parts):
             assert columns[lam] == tuple((mu, row[j]) for mu, row in zip(parts, rows) if row[j])
             assert all(v for _, v in columns[lam])
-        assert sym._columns(n, matrix, inverse) is columns
+        assert sym._columns(n, matrix) is columns
         with pytest.raises(TypeError):
             columns[parts[0]] = ()
 
@@ -309,18 +325,18 @@ class TestTransitionMatrix:
 
     @pytest.mark.parametrize("target", ["e", "h", "p", "s"])
     def test_cached_value_is_immutable(self, target):
-        parts, matrix = sym._transition_matrix(4, target)
-        assert type(parts) is tuple and type(matrix) is tuple
+        matrix = sym._matrix(4, target)
+        assert type(matrix) is tuple
         assert all(type(row) is tuple for row in matrix)
         assert all(type(v) is int for row in matrix for v in row)
 
     def test_frontier_n10(self):
         # p(10) = 42 partitions; each matrix is built cold here
         for target in ("e", "h", "p", "s"):
-            parts, matrix = sym._transition_matrix(10, target)
-            assert len(parts) == len(matrix) == 42
-        assert sym._transition_matrix(10, "s")[1][41][0] == 1  # K_{(10), 1^10}
-        assert sym._transition_matrix(10, "h")[1][41][41] == 3628800  # 10!
+            matrix = sym._matrix(10, target)
+            assert len(matrix) == len(matrix[0]) == 42
+        assert sym._matrix(10, "s")[41][0] == 1  # K_{(10), 1^10}
+        assert sym._matrix(10, "h")[41][41] == 3628800  # 10!
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_n5.json").read_text())
@@ -328,10 +344,10 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_n5.json").read_text
 
 def solved(x: QSymElement, target: str) -> QSymElement:
     """``expand_in_basis``'s oracle: the Fraction elimination
-    ``_solve_exact`` against the transition matrix."""
+    ``_solve_exact`` against the forward matrix ``sym._matrix(n, target)``."""
     parts = tuple(partitions(x.n))
     rhs = [x.coeff(lam) for lam in parts]
-    solution = sym._solve_exact(sym._transition_matrix(x.n, target)[1], rhs)
+    solution = sym._solve_exact(sym._matrix(x.n, target), rhs)
     return QSymElement(x.n, target, zip(parts, solution))
 
 
@@ -382,7 +398,7 @@ class TestNoMBasisRoute:
     @pytest.fixture
     def m_route_off(self, monkeypatch):
         self.refuse_where_defined(monkeypatch, ("generator", "quasi_shuffle", "kostka_bruteforce"))
-        for cached in (sym._transition_matrix, sym._inverse_matrix, sym._columns):
+        for cached in (sym._matrix, sym._columns):
             cached.cache_clear()
 
     def test_a_name_no_module_defines_is_an_error(self, monkeypatch):
@@ -404,7 +420,7 @@ class TestNoMBasisRoute:
 
         self.refuse_where_defined(monkeypatch, ("to_m_basis", "m_partition_to_qsym"))
         monkeypatch.setattr(qsym, "omega", m_basis_omega_only)
-        for cached in (sym._transition_matrix, sym._inverse_matrix, sym._columns):
+        for cached in (sym._matrix, sym._columns):
             cached.cache_clear()
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -421,9 +437,9 @@ class TestNoMBasisRoute:
         parts = tuple(partitions(n))
         k = len(parts)
         for target in ("e", "h", "p", "s"):
-            got, inverse = sym._inverse_matrix(n, target)
-            forward = sym._transition_matrix(n, target)[1]
-            assert got == parts
+            inverse = sym._matrix(n, target + "^-1")
+            forward = sym._matrix(n, target)
+            assert len(inverse) == k
             assert type(inverse) is tuple and all(type(row) is tuple for row in inverse)
             assert all(type(v) is int for row in inverse for v in row)
             scale = [z_of(lam) if target == "p" else 1 for lam in parts]
@@ -441,7 +457,7 @@ class TestNoMBasisRoute:
         solved at once as ``stacked_slices`` stacks them."""
         xs, index, rhs = stacked_slices(n)
         parts = tuple(partitions(n))
-        solution = sym._solve_exact(sym._transition_matrix(n, target)[1], rhs)
+        solution = sym._solve_exact(sym._matrix(n, target), rhs)
         for x in xs:
             want = {}
             for d in {d for poly in x.terms.values() for d in poly.terms}:
@@ -471,8 +487,8 @@ class TestNoMBasisRoute:
         """Built from Kostka integers with the M-basis route refused, each
         column still equals the M-basis omega of m_lambda (this module's
         own bindings of the refused functions are the real ones)."""
-        parts, matrix = sym._transition_matrix(n, "f")
-        assert parts == tuple(partitions(n))
+        parts, matrix = tuple(partitions(n)), sym._matrix(n, "f")
+        assert len(matrix) == len(parts)
         for j, lam in enumerate(parts):
             column = to_m_basis(omega(m_partition_to_qsym(lam)))
             assert [row[j] for row in matrix] == [column.coeff(mu).coeff(0) for mu in parts]
@@ -652,9 +668,6 @@ class TestBasisValidation:
 
     @pytest.mark.parametrize("target", ["M", "F", "m", "q"])
     def test_no_transition_matrix(self, target):
-        with pytest.raises(ValueError, match=f"'{target}'"):
-            sym._transition_matrix(3, target)
-        with pytest.raises(ValueError, match=f"no inverse matrix to the '{target}'"):
-            sym._inverse_matrix(3, target)
-        with pytest.raises(ValueError, match="no inverse matrix to the 'f'"):
-            sym._inverse_matrix(3, "f")
+        for name in (target, target + "^-1", "f^-1"):
+            with pytest.raises(ValueError, match=re.escape(f"no matrix named '{name}'")):
+                sym._matrix(3, name)
